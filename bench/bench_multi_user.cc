@@ -13,9 +13,11 @@
 // client readers (the §4.3 Rc–Wa conflict) and under kTwoPhase they
 // block behind them.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -147,9 +149,9 @@ Outcome Run(size_t workers, LockProtocol protocol) {
 
 // ---------------------------------------------------------------------
 // Matcher-phase sweep: the partitioned match phase in isolation, serial
-// reference vs relation-hash partitions with 1 (ablation) .. N morsel
-// workers, over a multi-relation workload with cross-partition joins.
-// Per-batch propagation latency feeds the percentile columns.
+// reference vs relation-hash partitions (run inline), over a multi-
+// relation workload with cross-partition joins. Per-batch propagation
+// latency feeds the percentile columns.
 
 constexpr const char* kMatchProgram = R"(
 (relation order (id int) (qty int))
@@ -229,11 +231,8 @@ std::vector<WmChange> MatchBatch(WorkingMemory* wm, Random* rng) {
 /// reference config's final conflict-set dump; pass nullptr for the
 /// reference run itself, which validates against a freshly built serial
 /// matcher over the final WM state — every config consumes the identical
-/// change stream, so one ground-truth rebuild covers the whole sweep
-/// (the per-config rebuild this used to do re-ran the serial baseline
-/// once per worker count for nothing).
-MatchOutcome RunMatchPhase(size_t partitions, size_t workers,
-                           const std::string* expected) {
+/// change stream, so one ground-truth rebuild covers the whole sweep.
+MatchOutcome RunMatchPhase(size_t partitions, const std::string* expected) {
   WorkingMemory wm;
   auto rules = LoadProgram(kMatchProgram, &wm).ValueOrDie();
 
@@ -244,7 +243,6 @@ MatchOutcome RunMatchPhase(size_t partitions, size_t workers,
   } else {
     PartitionedMatcher::Options options;
     options.num_partitions = partitions;
-    options.num_workers = workers;
     auto owned = std::make_unique<PartitionedMatcher>(options);
     partitioned = owned.get();
     matcher = std::move(owned);
@@ -281,45 +279,36 @@ MatchOutcome RunMatchPhase(size_t partitions, size_t workers,
   return out;
 }
 
-void SweepMatchPhase(bench::JsonReport* report, size_t max_workers) {
+void SweepMatchPhase(bench::JsonReport* report) {
   bench::Section(
       "match phase — serial Rete vs relation-hash partitions (8), " +
       std::to_string(kMatchBatches) + " batches, 4 relations");
-  std::printf("\n  %-12s %-7s %9s %8s %8s %8s %8s %6s\n", "matcher",
-              "workers", "ms", "morsels", "handoffs", "p50us", "p99us",
-              "valid");
+  std::printf("\n  %-12s %9s %8s %8s %8s %8s %6s\n", "matcher", "ms",
+              "morsels", "handoffs", "p50us", "p99us", "valid");
 
-  const MatchOutcome serial = RunMatchPhase(0, 1, nullptr);
-  double serial_ms = serial.ms;
-  auto emit = [&](const char* name, const char* proto, size_t workers,
+  auto emit = [&](const char* name, const char* proto,
                   const MatchOutcome& out) {
-    std::printf("  %-12s %-7zu %9.2f %8llu %8llu %8.1f %8.1f %6s\n", name,
-                workers, out.ms, (unsigned long long)out.morsels,
+    std::printf("  %-12s %9.2f %8llu %8llu %8.1f %8.1f %6s\n", name, out.ms,
+                (unsigned long long)out.morsels,
                 (unsigned long long)out.handoffs,
                 out.latency.Percentile(50) * 1e3,
                 out.latency.Percentile(99) * 1e3, out.valid ? "OK" : "FAIL");
-    DBPS_CHECK(out.valid) << "match phase diverged for " << name
-                          << " workers=" << workers;
+    DBPS_CHECK(out.valid) << "match phase diverged for " << name;
     bench::JsonRow row;
     row.workload = "match_phase";
-    row.threads = workers;
+    row.threads = 1;
     row.protocol = proto;
     row.wall_ms = out.ms;
     row.committed = out.batches;
     row.SetLatencies(out.latency);
     report->Add(row);
   };
-  emit("serial", "serial", 1, serial);
-  for (size_t workers : {1u, 2u, 4u, 8u}) {
-    if (workers > max_workers) continue;
-    const MatchOutcome out = RunMatchPhase(8, workers, &serial.dump);
-    emit(workers == 1 ? "part8-ablate" : "part8",
-         workers == 1 ? "ablation" : "partitioned", workers, out);
-    if (workers > 1) {
-      std::printf("               %zu workers: %.2fx vs serial\n", workers,
-                  serial_ms / out.ms);
-    }
-  }
+  const MatchOutcome serial = RunMatchPhase(0, nullptr);
+  emit("serial", "serial", serial);
+  const MatchOutcome part8 = RunMatchPhase(8, &serial.dump);
+  emit("part8", "partitioned", part8);
+  std::printf("               partitioned: %.2fx vs serial\n",
+              serial.ms / part8.ms);
 }
 
 // ---------------------------------------------------------------------
@@ -351,8 +340,8 @@ constexpr size_t kSkewSplitWays = 4;
 /// value-hash splitting with an immediate trigger (streak 1), so the
 /// sweep pays the one-time sub-partition rebuild inside the timed
 /// region — the honest accounting for a matcher that splits mid-run.
-MatchOutcome RunSkewPhase(size_t partitions, size_t workers,
-                          size_t split_ways, const std::string* expected) {
+MatchOutcome RunSkewPhase(size_t partitions, size_t split_ways,
+                          const std::string* expected) {
   WorkingMemory wm;
   auto rules = LoadProgram(kSkewProgram, &wm).ValueOrDie();
 
@@ -373,7 +362,6 @@ MatchOutcome RunSkewPhase(size_t partitions, size_t workers,
   } else {
     PartitionedMatcher::Options options;
     options.num_partitions = partitions;
-    options.num_workers = workers;
     if (split_ways > 0) {
       options.split_hot = true;
       options.split_ways = split_ways;
@@ -424,27 +412,25 @@ MatchOutcome RunSkewPhase(size_t partitions, size_t workers,
   return out;
 }
 
-void SweepMatchSkew(bench::JsonReport* report, size_t max_workers) {
-  const size_t workers = max_workers < 8 ? max_workers : 8;
+void SweepMatchSkew(bench::JsonReport* report) {
   bench::Section(
       "match skew — one hot relation, " + std::to_string(kSkewPreload) +
       " preloaded keys, self-join on ^k; value-hash split (" +
       std::to_string(kSkewSplitWays) + " ways) vs unsplit partitions");
-  std::printf("\n  %-12s %-7s %9s %8s %8s %8s %8s %6s\n", "matcher",
-              "workers", "ms", "morsels", "splits", "p50us", "p99us",
-              "valid");
+  std::printf("\n  %-12s %9s %8s %8s %8s %8s %6s\n", "matcher", "ms",
+              "morsels", "splits", "p50us", "p99us", "valid");
 
-  auto emit = [&](const char* name, const char* proto, size_t threads,
+  auto emit = [&](const char* name, const char* proto,
                   const MatchOutcome& out) {
-    std::printf("  %-12s %-7zu %9.2f %8llu %8llu %8.1f %8.1f %6s\n", name,
-                threads, out.ms, (unsigned long long)out.morsels,
+    std::printf("  %-12s %9.2f %8llu %8llu %8.1f %8.1f %6s\n", name, out.ms,
+                (unsigned long long)out.morsels,
                 (unsigned long long)out.splits,
                 out.latency.Percentile(50) * 1e3,
                 out.latency.Percentile(99) * 1e3, out.valid ? "OK" : "FAIL");
     DBPS_CHECK(out.valid) << "match skew diverged for " << name;
     bench::JsonRow row;
     row.workload = "match_skew";
-    row.threads = threads;
+    row.threads = 1;
     row.protocol = proto;
     row.wall_ms = out.ms;
     row.committed = out.batches;
@@ -452,13 +438,12 @@ void SweepMatchSkew(bench::JsonReport* report, size_t max_workers) {
     report->Add(row);
   };
 
-  const MatchOutcome serial = RunSkewPhase(0, 1, 0, nullptr);
-  emit("serial", "serial", 1, serial);
-  const MatchOutcome unsplit = RunSkewPhase(8, workers, 0, &serial.dump);
-  emit("part8", "partitioned", workers, unsplit);
-  const MatchOutcome split =
-      RunSkewPhase(8, workers, kSkewSplitWays, &serial.dump);
-  emit("part8-split", "split", workers, split);
+  const MatchOutcome serial = RunSkewPhase(0, 0, nullptr);
+  emit("serial", "serial", serial);
+  const MatchOutcome unsplit = RunSkewPhase(8, 0, &serial.dump);
+  emit("part8", "partitioned", unsplit);
+  const MatchOutcome split = RunSkewPhase(8, kSkewSplitWays, &serial.dump);
+  emit("part8-split", "split", split);
 
   std::printf("               split vs unsplit: %.2fx, vs serial: %.2fx\n",
               unsplit.ms / split.ms, serial.ms / split.ms);
@@ -469,6 +454,136 @@ void SweepMatchSkew(bench::JsonReport* report, size_t max_workers) {
   DBPS_CHECK(split.ms * 1.3 <= unsplit.ms)
       << "value-hash splitting missed the 1.3x gate: split=" << split.ms
       << "ms unsplit=" << unsplit.ms << "ms";
+}
+
+// ---------------------------------------------------------------------
+// Pipeline ablation: ParallelEngine over independent firings (one
+// single-CE rule per queue relation, no joins, no :cost) with 8 match
+// partitions, propagating each commit batch inline on the committer vs
+// on the MatchPipeline thread. With no firing cost the run is bound by
+// the commit path, which is what the pipeline overlaps. The two
+// configurations alternate kPipelineReps times; each row reports the
+// median wall time, and its percentiles are over the gaps between
+// consecutive commit-batch ends, pooled across reps.
+
+constexpr size_t kPipelineQueues = 8;
+constexpr int kPipelineJobsPerQueue = 100;
+constexpr int kPipelineReps = 5;
+
+std::string PipelineProgram() {
+  std::string text;
+  for (size_t q = 0; q < kPipelineQueues; ++q) {
+    const std::string n = std::to_string(q);
+    text += "(relation q" + n + " (id int))\n";
+    text += "(rule work" + n + " (q" + n + " ^id <i>) --> (remove 1))\n";
+  }
+  return text;
+}
+
+struct PipelineOutcome {
+  double ms = 0;
+  uint64_t firings = 0;
+  uint64_t aborts = 0;
+  uint64_t batched_commits = 0;
+  uint64_t drains = 0;
+  bool valid = false;
+};
+
+PipelineOutcome RunPipelinePhase(size_t workers, bool pipeline,
+                                 bench::LatencyRecorder* batch_gaps) {
+  WorkingMemory wm;
+  auto rules = LoadProgram(PipelineProgram(), &wm).ValueOrDie();
+  Delta preload;
+  for (size_t q = 0; q < kPipelineQueues; ++q) {
+    for (int i = 0; i < kPipelineJobsPerQueue; ++i) {
+      preload.Create(Sym("q" + std::to_string(q)), {Value::Int(i)});
+    }
+  }
+  DBPS_CHECK(wm.Apply(preload).ok());
+  auto pristine = wm.Clone();
+
+  ParallelEngineOptions options;
+  options.num_workers = workers;
+  options.num_match_partitions = 8;
+  options.match_pipeline = pipeline;
+  // Batch ends are emitted by the sequencer head in ticket order, one
+  // batch at a time, so the observer needs no lock.
+  Stopwatch since_batch;
+  options.base.observer = [&](const EngineEvent& event) {
+    if (event.kind != EngineEvent::Kind::kBatchEnd) return;
+    batch_gaps->Add(since_batch.ElapsedSeconds() * 1e3);
+    since_batch.Restart();
+  };
+  ParallelEngine engine(&wm, rules, options);
+  Stopwatch stopwatch;
+  since_batch.Restart();
+  const RunResult run = engine.Run().ValueOrDie();
+
+  PipelineOutcome out;
+  out.ms = stopwatch.ElapsedSeconds() * 1e3;
+  out.firings = run.stats.firings;
+  out.aborts = run.stats.aborts;
+  out.batched_commits = run.stats.batched_commits;
+  out.drains = run.stats.match_pipeline_drains;
+  out.valid = ValidateReplay(pristine.get(), rules, run.log).ok() &&
+              out.firings == kPipelineQueues * kPipelineJobsPerQueue;
+  return out;
+}
+
+void SweepMatchPipeline(bench::JsonReport* report, size_t max_workers) {
+  const size_t workers = max_workers < 4 ? max_workers : 4;
+  bench::Section(
+      "match pipeline — " + std::to_string(kPipelineQueues) + " queues x " +
+      std::to_string(kPipelineJobsPerQueue) +
+      " independent firings, 8 match partitions, " +
+      std::to_string(workers) + " workers, median of " +
+      std::to_string(kPipelineReps) + " alternating runs");
+  std::printf("\n  %-12s %9s %8s %8s %8s %8s %8s %8s %6s\n", "propagate",
+              "ms", "firings", "aborts", "batched", "drains", "p50us",
+              "p99us", "valid");
+
+  struct Config {
+    const char* proto;
+    bool pipeline;
+    std::vector<double> ms;
+    PipelineOutcome last;
+    bench::LatencyRecorder gaps;
+    bool valid = true;
+  };
+  Config configs[] = {{"inline", false, {}, {}, {}},
+                      {"pipeline", true, {}, {}, {}}};
+  for (int rep = 0; rep < kPipelineReps; ++rep) {
+    for (Config& config : configs) {
+      config.last = RunPipelinePhase(workers, config.pipeline, &config.gaps);
+      config.ms.push_back(config.last.ms);
+      config.valid = config.valid && config.last.valid;
+    }
+  }
+  for (Config& config : configs) {
+    std::sort(config.ms.begin(), config.ms.end());
+    const double median = config.ms[config.ms.size() / 2];
+    const PipelineOutcome& out = config.last;
+    std::printf("  %-12s %9.2f %8llu %8llu %8llu %8llu %8.1f %8.1f %6s\n",
+                config.proto, median, (unsigned long long)out.firings,
+                (unsigned long long)out.aborts,
+                (unsigned long long)out.batched_commits,
+                (unsigned long long)out.drains,
+                config.gaps.Percentile(50) * 1e3,
+                config.gaps.Percentile(99) * 1e3,
+                config.valid ? "OK" : "FAIL");
+    DBPS_CHECK(config.valid) << "match pipeline run failed for "
+                             << config.proto;
+    bench::JsonRow row;
+    row.workload = "match_pipeline";
+    row.threads = workers;
+    row.protocol = config.proto;
+    row.wall_ms = median;
+    row.aborts = out.aborts;
+    row.committed = out.firings;
+    row.batched_commits = out.batched_commits;
+    row.SetLatencies(config.gaps);
+    report->Add(row);
+  }
 }
 
 }  // namespace
@@ -526,8 +641,9 @@ int main() {
       report.Add(row);
     }
   }
-  SweepMatchPhase(&report, max_workers);
-  SweepMatchSkew(&report, max_workers);
+  SweepMatchPhase(&report);
+  SweepMatchSkew(&report);
+  SweepMatchPipeline(&report, max_workers);
 
   report.WriteIfRequested();
   DBPS_CHECK(peak_parallel_seen || max_workers <= 1)

@@ -75,12 +75,9 @@ std::string EngineStats::ToString() const {
       first = false;
     }
     out += "]";
-    if (match_splits != 0 || match_rehomes != 0 || match_rehome_skips != 0) {
-      out += StringPrintf(" match_splits=%llu match_rehomes=%llu "
-                          "match_rehome_skips=%llu",
-                          (unsigned long long)match_splits,
-                          (unsigned long long)match_rehomes,
-                          (unsigned long long)match_rehome_skips);
+    if (match_splits != 0) {
+      out += StringPrintf(" match_splits=%llu",
+                          (unsigned long long)match_splits);
     }
   }
   if (match_pipeline_batches != 0 || match_pipeline_drains != 0) {
@@ -89,11 +86,6 @@ std::string EngineStats::ToString() const {
         (unsigned long long)match_pipeline_batches,
         (unsigned long long)match_pipeline_drains,
         (unsigned long long)match_pipeline_stall_micros);
-  }
-  if (adaptive_batch_adjustments != 0) {
-    out += StringPrintf(" batch_limit_adjustments=%llu effective_limit=%llu",
-                        (unsigned long long)adaptive_batch_adjustments,
-                        (unsigned long long)effective_batch_limit);
   }
   if (!lock_shards.empty()) {
     uint64_t waits = 0, contentions = 0, fast = 0, retries = 0;

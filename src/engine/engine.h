@@ -181,20 +181,17 @@ struct EngineStats {
   /// Routed WME versions consumed by a partition other than the one
   /// homing their relation (rules whose conditions span partitions).
   uint64_t match_handoffs = 0;
-  /// Wall time of the morsel-parallel propagate phase, microseconds.
+  /// Wall time of the partition-by-partition propagate phase,
+  /// microseconds.
   uint64_t match_propagate_micros = 0;
   /// Canonical conflict-set merge time on the committer, microseconds.
   uint64_t match_merge_micros = 0;
   /// Per-batch max partition share of routed WMEs, 10% bins (bin 9 = one
   /// partition received ~everything: the skew diagnostic).
   std::array<uint64_t, 10> match_skew_histogram{};
-  // --- Skew adaptation (hot-partition splitting / rule re-homing) -------
+  // --- Skew adaptation (hot-partition splitting) ------------------------
   /// Hot partitions split into value-hash sub-partitions during the run.
   uint64_t match_splits = 0;
-  /// Quiescent-point rebuilds of the rule→partition homing map.
-  uint64_t match_rehomes = 0;
-  /// Re-home triggers whose rebuilt map matched the current one (skipped).
-  uint64_t match_rehome_skips = 0;
   // --- Match/commit pipelining ------------------------------------------
   /// Batches propagated asynchronously by the match pipeline thread.
   uint64_t match_pipeline_batches = 0;
@@ -202,12 +199,6 @@ struct EngineStats {
   uint64_t match_pipeline_drains = 0;
   /// Time spent blocked in those drains, microseconds.
   uint64_t match_pipeline_stall_micros = 0;
-  // --- Adaptive commit batch limit --------------------------------------
-  /// Times the self-tuning controller changed the effective batch limit.
-  uint64_t adaptive_batch_adjustments = 0;
-  /// Batch limit in effect at the end of the run (== the configured knob
-  /// unless `adaptive_batch_limit` was armed).
-  uint64_t effective_batch_limit = 0;
   bool halted = false;       ///< a (halt) action committed
   bool hit_max_firings = false;
   double elapsed_seconds = 0.0;

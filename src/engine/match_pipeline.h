@@ -61,8 +61,8 @@ class MatchPipeline {
 
   /// Enqueues one committed batch for propagation. `changes` must be the
   /// caller's own copy (the pipeline consumes it after the caller
-  /// returns); `snap` pins the post-apply CSN used for any split or
-  /// re-home rebuild triggered by this batch. Callers must Submit in
+  /// returns); `snap` pins the post-apply CSN used for any split
+  /// rebuild triggered by this batch. Callers must Submit in
   /// commit-ticket order — FIFO dispatch preserves that order.
   void Submit(std::vector<WmChange> changes, WmSnapshot snap);
 

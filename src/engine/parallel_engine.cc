@@ -7,7 +7,6 @@
 
 #include "analysis/access_sets.h"
 #include "analysis/lock_sets.h"
-#include "engine/adaptive_batch.h"
 #include "engine/busy_work.h"
 #include "match/partitioned_matcher.h"
 #include "rules/rhs_evaluator.h"
@@ -91,9 +90,7 @@ void ParallelEngine::SequencedCommit::Commit(PendingCommit* pending) {
   submitted_ = true;
   uint64_t stall_ns = 0;
   std::vector<PendingCommit*> batch = engine_->sequencer_.AwaitTurn(
-      ticket_, pending,
-      engine_->effective_batch_limit_.load(std::memory_order_relaxed),
-      &stall_ns);
+      ticket_, pending, engine_->effective_batch_limit_, &stall_ns);
   engine_->sequencer_stall_ns_.fetch_add(stall_ns,
                                          std::memory_order_relaxed);
   if (batch.empty()) return;  // a prior head executed this commit
@@ -166,12 +163,12 @@ void ParallelEngine::ExecuteBatch(const std::vector<PendingCommit*>& batch) {
   // adds). When the match pipeline is armed the pass runs asynchronously
   // on the pipeline thread: Submit takes a copy (the audit loop below
   // still reads `changes`) plus a snapshot pinned HERE, in ticket order,
-  // so a split/re-home rebuild triggered by this batch feeds from state
-  // that excludes every later batch's apply.
+  // so a split rebuild triggered by this batch feeds from state that
+  // excludes every later batch's apply.
   if (!changes.empty()) {
     if (pipeline_ != nullptr) {
       WmSnapshot rebuild_snap;
-      if (options_.match_split || options_.match_rehome) {
+      if (options_.match_split) {
         rebuild_snap = wm_->SnapshotAt();
       }
       pipeline_->Submit(changes, std::move(rebuild_snap));
@@ -284,47 +281,17 @@ void ParallelEngine::ExecuteBatch(const std::vector<PendingCommit*>& batch) {
     const size_t bucket =
         std::min(live.size(), stats_.batch_size_histogram.size() - 1);
     ++stats_.batch_size_histogram[bucket];
-    if (options_.adaptive_batch_limit && stats_.commit_batches % 64 == 0) {
-      // Window the controller on the last 64 batches: saturated batches
-      // (histogram buckets at/above the current limit), total batches,
-      // and sequencer stall, as deltas against the previous evaluation.
-      const size_t current =
-          effective_batch_limit_.load(std::memory_order_relaxed);
-      uint64_t saturated = 0;
-      for (size_t b =
-               std::min(current, stats_.batch_size_histogram.size() - 1);
-           b < stats_.batch_size_histogram.size(); ++b) {
-        saturated += stats_.batch_size_histogram[b];
-      }
-      const uint64_t stall_ns =
-          sequencer_stall_ns_.load(std::memory_order_relaxed);
-      AdaptiveBatchSignals window;
-      // The saturation bucket moves when the limit changes, so the
-      // cumulative count can shrink across evaluations; clamp at zero.
-      window.saturated_batches =
-          saturated >= adapt_last_saturated_ ? saturated - adapt_last_saturated_
-                                             : 0;
-      window.total_batches = stats_.commit_batches - adapt_last_batches_;
-      window.stall_micros = (stall_ns - adapt_last_stall_ns_) / 1000;
-      adapt_last_saturated_ = saturated;
-      adapt_last_batches_ = stats_.commit_batches;
-      adapt_last_stall_ns_ = stall_ns;
-      const size_t next = ComputeAdaptiveBatchLimit(
-          window, current, /*floor_limit=*/1, /*ceiling=*/64);
-      if (next != current) {
-        effective_batch_limit_.store(next, std::memory_order_relaxed);
-        ++stats_.adaptive_batch_adjustments;
-      }
-    }
   }
 }
 
 ParallelEngine::ParallelEngine(WorkingMemory* wm, RuleSetPtr rules,
                                ParallelEngineOptions options)
-    : wm_(wm), rules_(std::move(rules)), options_(options) {
+    : wm_(wm),
+      rules_(std::move(rules)),
+      options_(options),
+      effective_batch_limit_(
+          std::max<size_t>(1, options_.commit_batch_limit)) {
   commit_seq_ = options_.start_seq;
-  effective_batch_limit_.store(std::max<size_t>(1, options_.commit_batch_limit),
-                               std::memory_order_relaxed);
   DBPS_CHECK(wm_ != nullptr);
   DBPS_CHECK(rules_ != nullptr);
   DBPS_CHECK_GT(options_.num_workers, 0u);
@@ -333,19 +300,16 @@ ParallelEngine::ParallelEngine(WorkingMemory* wm, RuleSetPtr rules,
 StatusOr<RunResult> ParallelEngine::Run() {
   if (options_.num_match_partitions > 1 &&
       options_.base.matcher != MatcherKind::kNaive) {
-    // Morsel-parallel partitioned match phase; kNaive stays serial (the
-    // oracle rematches against live WM and cannot be partitioned).
+    // Partitioned match phase; kNaive stays serial (the oracle
+    // rematches against live WM and cannot be partitioned).
     PartitionedMatcher::Options match_options;
     match_options.num_partitions = options_.num_match_partitions;
-    match_options.num_workers = std::max<size_t>(1, options_.match_workers);
     match_options.inner = options_.base.matcher;
     match_options.shadow_check = options_.match_shadow_check;
     match_options.split_hot = options_.match_split;
     match_options.split_ways = options_.match_split_ways;
     match_options.split_streak = options_.match_split_streak;
     match_options.split_share = options_.match_split_share;
-    match_options.rehome = options_.match_rehome;
-    match_options.rehome_streak = options_.match_rehome_streak;
     auto partitioned = std::make_unique<PartitionedMatcher>(match_options);
     partitioned_matcher_ = partitioned.get();
     matcher_ = std::move(partitioned);
@@ -401,8 +365,6 @@ StatusOr<RunResult> ParallelEngine::Run() {
   stats_.commit_tickets = sequencer_.tickets_issued();
   stats_.sequencer_stall_micros =
       sequencer_stall_ns_.load(std::memory_order_relaxed) / 1000;
-  stats_.effective_batch_limit =
-      effective_batch_limit_.load(std::memory_order_relaxed);
   // (DisableAll resets the cumulative counter; saturate instead of
   // underflowing if that happened mid-run.)
   const uint64_t faults_now = FailpointRegistry::Instance().total_fires();
@@ -425,8 +387,6 @@ StatusOr<RunResult> ParallelEngine::Run() {
     stats_.match_propagate_micros = match_stats.propagate_wall_ns / 1000;
     stats_.match_merge_micros = match_stats.merge_ns / 1000;
     stats_.match_splits = match_stats.splits;
-    stats_.match_rehomes = match_stats.rehomes;
-    stats_.match_rehome_skips = match_stats.rehome_skips;
     for (size_t i = 0; i < match_stats.skew_histogram.size(); ++i) {
       stats_.match_skew_histogram[i] = match_stats.skew_histogram[i];
     }
@@ -467,8 +427,11 @@ void ParallelEngine::WorkerLoop(size_t worker_index) {
           lock.lock();
           continue;
         }
+        // In-flight firings count against the cap: each may still
+        // commit, so claiming past firings + in_flight_ could overshoot.
         const bool may_claim =
-            !halted_ && stats_.firings < options_.base.max_firings;
+            !halted_ &&
+            stats_.firings + in_flight_ < options_.base.max_firings;
         if (may_claim) {
           inst = matcher_->conflict_set().Claim(options_.base.strategy, &rng);
           if (inst != nullptr) {

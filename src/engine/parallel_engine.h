@@ -136,13 +136,10 @@ struct ParallelEngineOptions {
   /// Relation-hash match partitions (match/partitioned_matcher.h). 0 or 1
   /// = the serial matcher exactly as before; >1 partitions the matcher by
   /// Mix64(relation) % N — mirroring the lock shards — and propagates
-  /// each commit batch's delta morsel-parallel. Ignored for kNaive (the
-  /// oracle stays serial by design).
+  /// each commit batch's delta partition by partition, inline on the
+  /// committing thread. Ignored for kNaive (the oracle stays serial by
+  /// design).
   size_t num_match_partitions = 0;
-  /// Morsel workers draining partition change queues when partitioned
-  /// matching is on. 1 = serial ablation: identical partitioning,
-  /// routing and canonical merge, but inline single-threaded execution.
-  size_t match_workers = 4;
   /// Debug/differential aid: shadow every partitioned-matcher batch with
   /// a full serial matcher and fail the run on the first conflict-set
   /// divergence. Expensive; chaos/differential tests only.
@@ -158,11 +155,6 @@ struct ParallelEngineOptions {
   size_t match_split_ways = 4;
   size_t match_split_streak = 4;
   double match_split_share = 0.6;
-  /// Rebuild the rule→partition homing map at a pinned snapshot CSN
-  /// (quiescent point between batches) when the skew histogram saturates
-  /// bin 9 for `match_rehome_streak` consecutive batches.
-  bool match_rehome = false;
-  size_t match_rehome_streak = 16;
   /// Route committed batches to the matcher through a dedicated
   /// propagation thread so batch N's match propagation overlaps batch
   /// N+1's lock acquisition and victim collection. Workers drain the
@@ -170,12 +162,6 @@ struct ParallelEngineOptions {
   /// settling), so selection order — and the journal — stay byte-
   /// identical to the inline path. Ignored when matching runs serial.
   bool match_pipeline = false;
-  /// Self-tune the effective commit batch limit from the observed
-  /// batch-size histogram and sequencer stall time (engine/
-  /// adaptive_batch.h): `commit_batch_limit` is the starting point and
-  /// the controller moves the effective limit within [1, 64] by powers
-  /// of two. Off = the fixed knob, as the ablation baseline.
-  bool adaptive_batch_limit = false;
   /// Emit full audit evidence (`;a(...)`) only on every Nth commit
   /// (0/1 = every commit, the default). Sampled journals stay replayable
   /// and order-checkable; the auditor treats unaudited lines as
@@ -452,16 +438,9 @@ class ParallelEngine {
   EngineStats stats_;
   CommitSequencer sequencer_;
   std::atomic<uint64_t> sequencer_stall_ns_{0};
-  /// Batch limit the sequencer folds to. Equals the configured
-  /// commit_batch_limit unless adaptive_batch_limit is armed, in which
-  /// case the ordered commit stage republishes it every stats window
-  /// (ComputeAdaptiveBatchLimit) and committers read it per commit.
-  std::atomic<size_t> effective_batch_limit_{1};
-  /// Controller window baselines; only the ordered commit stage (one
-  /// thread at a time) touches them.
-  uint64_t adapt_last_batches_ = 0;
-  uint64_t adapt_last_saturated_ = 0;
-  uint64_t adapt_last_stall_ns_ = 0;
+  /// Batch limit the sequencer folds to: commit_batch_limit, clamped to
+  /// at least 1.
+  const size_t effective_batch_limit_;
   /// Only the ordered commit stage (one thread at a time, by ticket)
   /// touches these; Run() reads them after the pipeline drains.
   uint64_t commit_seq_ = 0;  ///< total commits (firings + client txns)

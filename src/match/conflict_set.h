@@ -81,8 +81,8 @@ class ConflictSet {
 
   /// Enables refraction tombstones (see MarkFired). Off by default: the
   /// serial matchers never re-derive a fired instantiation, so only the
-  /// skew-adaptive partitioned matcher (whose split/re-home rebuilds
-  /// re-scan state from a snapshot) needs it. A Deactivate erases the
+  /// skew-adaptive partitioned matcher (whose split rebuilds re-scan
+  /// state from a snapshot) needs it. A Deactivate erases the
   /// key's tombstone — the LHS ceased to hold, so any later activation
   /// is a genuinely new episode, matching serial negated-CE semantics.
   void EnableRefractionMemory(bool enabled);

@@ -48,19 +48,13 @@ PartitionedMatcher::PartitionedMatcher(Options options)
       << "naive matcher cannot be partitioned (it rematches against "
          "live WM and reads its own conflict set)";
   options_.num_partitions = std::max<size_t>(1, options_.num_partitions);
-  options_.num_workers = std::max<size_t>(1, options_.num_workers);
   options_.split_ways = std::max<size_t>(2, options_.split_ways);
   options_.split_streak = std::max<uint64_t>(1, options_.split_streak);
-  options_.rehome_streak = std::max<uint64_t>(1, options_.rehome_streak);
   partitions_.resize(options_.num_partitions);
   stats_.partitions.resize(options_.num_partitions);
-  if (options_.num_workers > 1) {
-    pool_ = std::make_unique<ThreadPool>(options_.num_workers);
-  }
 }
 
 PartitionedMatcher::~PartitionedMatcher() {
-  if (pool_ != nullptr) pool_->Shutdown();
   // Inner matcher teardown emits deactivations for live tokens; detach
   // the sinks first or they would write into the sibling `events`
   // member, which is destroyed before `matcher` is.
@@ -77,13 +71,14 @@ size_t PartitionedMatcher::PartitionOfRelation(SymbolId relation) const {
   return RouteMix(relation, partitions_.size());
 }
 
-Status PartitionedMatcher::HomeRules() {
-  for (const RulePtr& rule : rules_->rules()) {
+Status PartitionedMatcher::HomeRules(const RuleSet& rules) {
+  for (const RulePtr& rule : rules.rules()) {
     if (rule->conditions().empty()) {
       return Status::InvalidArgument("rule '" + rule->name() +
                                      "' has no conditions");
     }
-    const size_t home = home_of_.at(rule->name());
+    const size_t home =
+        PartitionOfRelation(rule->conditions().front().relation);
     Partition& part = partitions_[home];
     if (part.rules == nullptr) part.rules = std::make_shared<RuleSet>();
     DBPS_RETURN_NOT_OK(part.rules->Add(rule));
@@ -178,24 +173,15 @@ void PartitionedMatcher::AnalyzeSplittability(Partition& part) {
 }
 
 Status PartitionedMatcher::BuildPartitionMatchers(const WmSnapshot& snap) {
-  std::vector<size_t> work;
-  for (size_t i = 0; i < partitions_.size(); ++i) {
-    Partition& part = partitions_[i];
+  for (Partition& part : partitions_) {
     if (part.rules == nullptr) continue;
     part.subs.clear();
     part.subs.resize(1);
     part.subs[0].matcher = CreateMatcher(options_.inner);
     part.subs[0].matcher->conflict_set().SetEventSink(&part.subs[0].events);
     part.counters.subs = 1;
-    work.push_back(i);
+    DBPS_RETURN_NOT_OK(part.subs[0].matcher->InitializeAt(part.rules, snap));
   }
-  std::vector<Status> statuses(partitions_.size(), Status::OK());
-  RunMorsels(work.size(), [&](size_t w) {
-    const size_t i = work[w];
-    statuses[i] =
-        partitions_[i].subs[0].matcher->InitializeAt(partitions_[i].rules, snap);
-  });
-  for (const Status& status : statuses) DBPS_RETURN_NOT_OK(status);
   return Status::OK();
 }
 
@@ -206,26 +192,12 @@ Status PartitionedMatcher::Initialize(RuleSetPtr rules,
   if (rules == nullptr) {
     return Status::InvalidArgument("PartitionedMatcher: null rule set");
   }
-  rules_ = rules;
   wm_ = &wm;
-  // Default homing: relation hash of the first condition element.
-  for (const RulePtr& rule : rules_->rules()) {
-    if (rule->conditions().empty()) {
-      return Status::InvalidArgument("rule '" + rule->name() +
-                                     "' has no conditions");
-    }
-    home_of_[rule->name()] = static_cast<uint32_t>(
-        PartitionOfRelation(rule->conditions().front().relation));
-  }
-  DBPS_RETURN_NOT_OK(HomeRules());
-  for (size_t i = 0; i < partitions_.size(); ++i) {
-    AnalyzeSplittability(partitions_[i]);
-  }
-  // Quiescent rebuilds re-derive fired-but-still-satisfied
-  // instantiations; refraction tombstones keep them out of the set.
-  if (options_.split_hot || options_.rehome) {
-    conflict_set_.EnableRefractionMemory(true);
-  }
+  DBPS_RETURN_NOT_OK(HomeRules(*rules));
+  for (Partition& part : partitions_) AnalyzeSplittability(part);
+  // Split rebuilds re-derive fired-but-still-satisfied instantiations;
+  // refraction tombstones keep them out of the set.
+  if (options_.split_hot) conflict_set_.EnableRefractionMemory(true);
 
   // The shadow must exist BEFORE the first MergeEvents so initial
   // activations reach the mirror set too.
@@ -235,7 +207,7 @@ Status PartitionedMatcher::Initialize(RuleSetPtr rules,
   }
 
   // Build every non-empty partition's inner matcher at ONE pinned
-  // snapshot CSN, in parallel, capturing initial activations.
+  // snapshot CSN, capturing initial activations.
   const WmSnapshot snap = wm.SnapshotAt();
   DBPS_RETURN_NOT_OK(BuildPartitionMatchers(snap));
   MergeEvents();
@@ -271,7 +243,6 @@ void PartitionedMatcher::ApplyChangesAt(const std::vector<WmChange>& changes,
   auto route = [&](const WmChange& change, const WmePtr& wme, bool removed) {
     const auto it = consumers_.find(wme->relation());
     if (it == consumers_.end()) return;  // no rule consumes this relation
-    routed_load_[wme->relation()]++;
     const size_t home = PartitionOfRelation(wme->relation());
     for (const uint32_t consumer : it->second) {
       Partition& part = partitions_[consumer];
@@ -311,7 +282,6 @@ void PartitionedMatcher::ApplyChangesAt(const std::vector<WmChange>& changes,
     const size_t bin = std::min<size_t>(
         9, static_cast<size_t>((10 * max_routed) / total_routed));
     stats_.skew_histogram[bin]++;
-    bin9_streak_ = bin == 9 ? bin9_streak_ + 1 : 0;
     for (size_t i = 0; i < num_parts; ++i) {
       const bool hot =
           static_cast<double>(routed[i]) >=
@@ -319,33 +289,21 @@ void PartitionedMatcher::ApplyChangesAt(const std::vector<WmChange>& changes,
       partitions_[i].hot_streak = hot ? partitions_[i].hot_streak + 1 : 0;
     }
 
-    // Parallel phase: one morsel per non-empty (partition, sub).
-    std::vector<std::pair<size_t, size_t>> work;
-    for (size_t i = 0; i < num_parts; ++i) {
-      for (size_t s = 0; s < partitions_[i].subs.size(); ++s) {
-        if (!partitions_[i].subs[s].queue.empty()) work.emplace_back(i, s);
+    // Propagate: one morsel per non-empty (partition, sub).
+    const uint64_t wall_start = NowNs();
+    for (Partition& part : partitions_) {
+      for (SubPartition& sub : part.subs) {
+        if (sub.queue.empty()) continue;
+        const uint64_t start = NowNs();
+        sub.matcher->ApplyChanges(sub.queue);
+        part.counters.propagate_ns += NowNs() - start;
+        part.counters.morsels++;
+        stats_.morsels++;
       }
     }
-    // Morsel timings fold after the barrier: two subs of one partition
-    // may run concurrently, so workers must not share a counters struct.
-    std::vector<uint64_t> morsel_ns(work.size(), 0);
-    const uint64_t wall_start = NowNs();
-    RunMorsels(work.size(), [&](size_t w) {
-      auto [i, s] = work[w];
-      SubPartition& sub = partitions_[i].subs[s];
-      const uint64_t start = NowNs();
-      sub.matcher->ApplyChanges(sub.queue);
-      morsel_ns[w] = NowNs() - start;
-    });
     stats_.propagate_wall_ns += NowNs() - wall_start;
-    stats_.morsels += work.size();
-    for (size_t w = 0; w < work.size(); ++w) {
-      Partition& part = partitions_[work[w].first];
-      part.counters.morsels++;
-      part.counters.propagate_ns += morsel_ns[w];
-    }
 
-    // Canonical merge on the calling thread.
+    // Canonical merge.
     const uint64_t merge_start = NowNs();
     MergeEvents();
     stats_.merge_ns += NowNs() - merge_start;
@@ -357,22 +315,17 @@ void PartitionedMatcher::ApplyChangesAt(const std::vector<WmChange>& changes,
   }
 
   // Skew adaptation at the quiescent point after this batch's
-  // propagation: re-home takes priority (it resets split state; hot
-  // streaks re-trigger splits afterwards if the skew persists).
-  if (total_routed > 0 && (options_.split_hot || options_.rehome)) {
-    const bool want_rehome =
-        options_.rehome && bin9_streak_ >= options_.rehome_streak;
+  // propagation.
+  if (total_routed > 0 && options_.split_hot) {
     std::vector<size_t> to_split;
-    if (!want_rehome && options_.split_hot) {
-      for (size_t i = 0; i < num_parts; ++i) {
-        Partition& part = partitions_[i];
-        if (part.splittable && part.subs.size() == 1 &&
-            part.hot_streak >= options_.split_streak) {
-          to_split.push_back(i);
-        }
+    for (size_t i = 0; i < num_parts; ++i) {
+      const Partition& part = partitions_[i];
+      if (part.splittable && part.subs.size() == 1 &&
+          part.hot_streak >= options_.split_streak) {
+        to_split.push_back(i);
       }
     }
-    if (want_rehome || !to_split.empty()) {
+    if (!to_split.empty()) {
       // Rebuilds read WM state as of right after this batch's applies:
       // the caller's pinned snapshot when provided (pipelined mode,
       // where live WM may have advanced), else a self-pinned one.
@@ -382,16 +335,10 @@ void PartitionedMatcher::ApplyChangesAt(const std::vector<WmChange>& changes,
         local = wm_->SnapshotAt();
         at = &local;
       }
-      if (want_rehome) {
-        const Status status = Rehome(*at);
-        DBPS_CHECK(status.ok()) << "re-home rebuild failed: "
+      for (size_t i : to_split) {
+        const Status status = SplitPartition(i, *at);
+        DBPS_CHECK(status.ok()) << "hot-partition split failed: "
                                 << status.ToString();
-      } else {
-        for (size_t i : to_split) {
-          const Status status = SplitPartition(i, *at);
-          DBPS_CHECK(status.ok()) << "hot-partition split failed: "
-                                  << status.ToString();
-        }
       }
       // Rebuild-derived activations are no-ops / refraction-suppressed;
       // replay them through the same canonical merge regardless.
@@ -441,98 +388,14 @@ Status PartitionedMatcher::SplitPartition(size_t i, const WmSnapshot& snap) {
       feed[s].added.push_back(std::move(wme));
     }
   }
-  std::vector<size_t> work;
   for (size_t s = 0; s < ways; ++s) {
-    if (!feed[s].added.empty()) work.push_back(s);
+    if (!feed[s].added.empty()) part.subs[s].matcher->ApplyChange(feed[s]);
   }
-  RunMorsels(work.size(), [&](size_t w) {
-    const size_t s = work[w];
-    part.subs[s].matcher->ApplyChange(feed[s]);
-  });
 
   part.counters.subs = ways;
   part.hot_streak = 0;
   stats_.splits++;
   return Status::OK();
-}
-
-Status PartitionedMatcher::Rehome(const WmSnapshot& snap) {
-  // Rule load proxy: its first relation's cumulative routed load, split
-  // evenly among the rules sharing that first relation (+1 so zero-load
-  // rules still balance by count).
-  std::unordered_map<SymbolId, uint64_t> n_first;
-  for (const RulePtr& rule : rules_->rules()) {
-    n_first[rule->conditions().front().relation]++;
-  }
-  struct Item {
-    RulePtr rule;
-    double load;
-  };
-  std::vector<Item> items;
-  for (const RulePtr& rule : rules_->rules()) {
-    const SymbolId first = rule->conditions().front().relation;
-    const auto it = routed_load_.find(first);
-    const double rel_load =
-        it == routed_load_.end() ? 0.0 : static_cast<double>(it->second);
-    items.push_back(Item{rule, rel_load / static_cast<double>(n_first[first]) + 1.0});
-  }
-  std::sort(items.begin(), items.end(), [](const Item& a, const Item& b) {
-    if (a.load != b.load) return a.load > b.load;
-    return a.rule->name() < b.rule->name();
-  });
-  std::vector<double> load(partitions_.size(), 0.0);
-  std::unordered_map<std::string, uint32_t> new_home;
-  for (const Item& item : items) {
-    size_t best = 0;
-    for (size_t p = 1; p < load.size(); ++p) {
-      if (load[p] < load[best]) best = p;
-    }
-    new_home[item.rule->name()] = static_cast<uint32_t>(best);
-    load[best] += item.load;
-  }
-
-  bin9_streak_ = 0;
-  if (new_home == home_of_) {
-    // Anti-thrash: the greedy assignment already matches the current
-    // homing; nothing to rebuild.
-    stats_.rehome_skips++;
-    return Status::OK();
-  }
-  home_of_ = std::move(new_home);
-  stats_.rehomes++;
-
-  // Quiescent full rebuild at the pinned snapshot: tear every partition
-  // down in place and re-distribute + re-initialize.
-  for (Partition& part : partitions_) {
-    for (SubPartition& sub : part.subs) {
-      if (sub.matcher != nullptr) {
-        sub.matcher->conflict_set().SetEventSink(nullptr);
-      }
-    }
-    part.subs.clear();
-    part.rules = nullptr;
-    part.split_field.clear();
-    part.splittable = false;
-    part.hot_streak = 0;
-    part.counters.rules = 0;
-    part.counters.subs = 0;
-  }
-  consumers_.clear();
-  DBPS_RETURN_NOT_OK(HomeRules());
-  for (Partition& part : partitions_) AnalyzeSplittability(part);
-  return BuildPartitionMatchers(snap);
-}
-
-void PartitionedMatcher::RunMorsels(size_t n,
-                                    const std::function<void(size_t)>& fn) {
-  if (pool_ == nullptr || n <= 1) {
-    for (size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    pool_->Submit([&fn, i] { fn(i); });
-  }
-  pool_->WaitIdle();
 }
 
 void PartitionedMatcher::MergeEvents() {

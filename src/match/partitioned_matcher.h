@@ -1,8 +1,8 @@
-// PartitionedMatcher: morsel-parallel delta propagation over relation-
-// hash-partitioned match state (the paper's intra-batch match
-// parallelism, morsel scheduling after Leis et al.), made skew-adaptive:
-// hot partitions split their match state by value hash and rules re-home
-// off saturated partitions at quiescent points.
+// PartitionedMatcher: delta propagation over relation-hash-partitioned
+// match state, made skew-adaptive: hot partitions split their match
+// state by value hash. Partitioning is a data-structure choice, not a
+// threading one — every partition runs inline on the calling thread;
+// the win is smaller per-partition networks and join scans.
 //
 // Structure
 //   * Rules are partitioned by the relation hash of their first condition
@@ -18,11 +18,9 @@
 //     partitions receives those relations' WMEs as a cross-partition
 //     handoff (counted in stats; the join itself still runs entirely
 //     partition-locally, against the partition's own alpha memories).
-//   * Propagation is morsel-style: each non-empty (partition,
-//     sub-partition) routed sub-batch is one morsel; a fixed worker pool
-//     drains the morsels, each running the inner matcher's ApplyChanges
-//     against sub-partition-local state. `num_workers == 1` is the serial
-//     ablation — identical routing and merge, inline execution.
+//   * Propagation: each non-empty (partition, sub-partition) routed
+//     sub-batch is one morsel, run in canonical order by the inner
+//     matcher's ApplyChanges against sub-partition-local state.
 //
 // Skew adaptation (DESIGN §4.6)
 //   * Hot-partition value-hash splitting (`Options::split_hot`): when one
@@ -39,21 +37,12 @@
 //     blocker) land in exactly one sub-partition, so the union over subs
 //     equals the unsplit partition's matches. Because the inner Rete
 //     joins are linear scans over alpha/beta memories, a split partition
-//     does ~S× less join-scan work per routed WME even on one core.
-//   * Dynamic rule re-homing (`Options::rehome`): when the per-batch skew
-//     histogram saturates bin 9 for `rehome_streak` consecutive batches
-//     (several relations' rules hash-collided onto one partition), the
-//     rule→partition homing map is rebuilt greedily — rules sorted by
-//     their first relation's observed routed load, assigned least-loaded-
-//     first — and, if the assignment actually changes, every partition's
-//     match state is rebuilt at a pinned snapshot CSN between batches
-//     (quiescent-point rebuild; unchanged assignments are skipped to
-//     prevent thrash).
-//   * Rebuild soundness: a quiescent rebuild re-derives exactly the
-//     instantiations whose LHS holds at the pinned CSN. Replaying those
-//     activations into the shared conflict set is a no-op for keys
-//     already active; keys that FIRED but still hold would wrongly
-//     re-enter, so arming split/rehome enables the conflict set's
+//     does ~S× less join-scan work per routed WME.
+//   * Rebuild soundness: a split rebuild at a quiescent point re-derives
+//     exactly the instantiations whose LHS holds at the pinned CSN.
+//     Replaying those activations into the shared conflict set is a
+//     no-op for keys already active; keys that FIRED but still hold
+//     would wrongly re-enter, so arming split enables the conflict set's
 //     refraction memory (fired tombstones, erased again on Deactivate —
 //     see ConflictSet::EnableRefractionMemory).
 //
@@ -61,40 +50,35 @@
 //   Partition-local matchers never mutate a shared conflict set directly:
 //   their Activate/Deactivate calls are captured as per-sub-partition
 //   event buffers (ConflictSet::SetEventSink) while the morsels run.
-//   After the barrier, the committer thread replays the buffers onto the
-//   shared engine-facing set in canonical (partition ascending,
-//   sub-partition ascending, per-sub call order) order. Because the rule
-//   partition is disjoint and the value split is disjoint per key, every
-//   conflict-set key is produced by exactly one (partition, sub), and
-//   that sub emits the key's events in the same relative order as the
-//   serial matcher processing the same change stream restricted to its
-//   rules and key share; the union therefore reaches the same final set
-//   contents as the serial matcher after every batch (time tags in
-//   instantiation keys come from the WMEs, not from match order). The
-//   differential tests assert byte-identical CanonicalDump()s; the
-//   optional shadow check re-asserts it in-process on every batch.
+//   Afterwards the buffers are replayed onto the shared engine-facing
+//   set in canonical (partition ascending, sub-partition ascending,
+//   per-sub call order) order. Because the rule partition is disjoint and
+//   the value split is disjoint per key, every conflict-set key is
+//   produced by exactly one (partition, sub), and that sub emits the
+//   key's events in the same relative order as the serial matcher
+//   processing the same change stream restricted to its rules and key
+//   share; the union therefore reaches the same final set contents as
+//   the serial matcher after every batch (time tags in instantiation
+//   keys come from the WMEs, not from match order). The differential
+//   tests assert byte-identical CanonicalDump()s; the optional shadow
+//   check re-asserts it in-process on every batch.
 //
 // Threading: ApplyChange/ApplyChanges/ApplyChangesAt must be called from
 // one thread at a time (the engine's commit sequencer stage or its match
 // pipeline thread); the shared conflict_set() remains safe for
 // concurrent Claim/Contains from engine workers because all mutation
-// happens in the single-threaded merge phase through the ConflictSet's
-// own mutex.
+// happens in the merge phase through the ConflictSet's own mutex.
 
 #ifndef DBPS_MATCH_PARTITIONED_MATCHER_H_
 #define DBPS_MATCH_PARTITIONED_MATCHER_H_
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "match/matcher.h"
-#include "util/thread_pool.h"
 
 namespace dbps {
 
@@ -103,9 +87,6 @@ class PartitionedMatcher : public Matcher {
   struct Options {
     /// Number of relation-hash partitions (mirrors lock shards).
     size_t num_partitions = 8;
-    /// Morsel workers draining partition queues; 1 = serial ablation
-    /// (same routing + canonical merge, inline execution).
-    size_t num_workers = 4;
     /// Inner per-partition algorithm. kNaive is unsupported: the naive
     /// oracle rematches against live WM and reads its own conflict set,
     /// which a partition does not own.
@@ -125,11 +106,6 @@ class PartitionedMatcher : public Matcher {
     double split_share = 0.6;
     /// Consecutive hot batches before a split-eligible partition splits.
     uint64_t split_streak = 4;
-
-    /// Arms dynamic rule re-homing (see file comment).
-    bool rehome = false;
-    /// Consecutive skew-histogram-bin-9 batches before re-homing.
-    uint64_t rehome_streak = 16;
   };
 
   struct PartitionCounters {
@@ -146,11 +122,9 @@ class PartitionedMatcher : public Matcher {
     uint64_t batches = 0;           ///< propagation passes (ApplyChanges calls)
     uint64_t morsels = 0;           ///< total morsels across partitions
     uint64_t handoffs = 0;          ///< total cross-partition handoffs
-    uint64_t propagate_wall_ns = 0; ///< wall time of the parallel phase
+    uint64_t propagate_wall_ns = 0; ///< wall time of the propagate phase
     uint64_t merge_ns = 0;          ///< canonical merge into the shared set
     uint64_t splits = 0;            ///< hot-partition value-hash splits
-    uint64_t rehomes = 0;           ///< quiescent-point homing rebuilds
-    uint64_t rehome_skips = 0;      ///< triggers whose assignment was unchanged
     /// Per-batch max partition share of routed WMEs, 10% bins: bin 9 ≈
     /// one partition got everything (skew), bin ~1/P ≈ perfectly spread.
     std::array<uint64_t, 10> skew_histogram{};
@@ -163,10 +137,9 @@ class PartitionedMatcher : public Matcher {
   void ApplyChange(const WmChange& change) override;
   void ApplyChanges(const std::vector<WmChange>& changes) override;
 
-  /// Like ApplyChanges, but any quiescent-point rebuild this batch
-  /// triggers (split / re-home) uses `snap` — a snapshot the caller
-  /// pinned at the CSN right after this batch's WM applies — instead of
-  /// pinning one from the live WM. The engine's match pipeline runs
+  /// Like ApplyChanges, but any split rebuild this batch triggers uses
+  /// `snap` — a snapshot the caller pinned at the CSN right after this
+  /// batch's WM applies — instead of pinning one from the live WM. The engine's match pipeline runs
   /// propagation off the commit path, where the live WM may already have
   /// advanced past this batch; shipping the pinned snapshot with the job
   /// keeps rebuilds anchored to the state the matcher has actually seen.
@@ -213,29 +186,21 @@ class PartitionedMatcher : public Matcher {
     PartitionCounters counters;
   };
 
-  /// Distributes `rules_` into partitions_ per home_of_ and rebuilds
-  /// consumers_; requires partitions_ freshly resized.
-  Status HomeRules();
+  /// Homes every rule in the partition of its first CE's relation and
+  /// builds consumers_.
+  Status HomeRules(const RuleSet& rules);
 
   /// Computes split eligibility + per-relation split fields for `part`
   /// (see file comment for the analysis).
   void AnalyzeSplittability(Partition& part);
 
   /// Creates every non-empty partition's sub 0 matcher and snapshot-
-  /// initializes it at `snap`, in parallel. Does not merge events.
+  /// initializes it at `snap`. Does not merge events.
   Status BuildPartitionMatchers(const WmSnapshot& snap);
 
   /// Rebuilds partition `i` as split_ways value-hash sub-partitions,
   /// each snapshot-fed its routed share of `snap`. Quiescent point only.
   Status SplitPartition(size_t i, const WmSnapshot& snap);
-
-  /// Recomputes the homing map from observed per-relation routed load;
-  /// if it changed, rebuilds every partition's match state at `snap`.
-  Status Rehome(const WmSnapshot& snap);
-
-  /// Runs `fn(i)` for every i in [0, n), on the pool when it exists
-  /// (WaitIdle barrier), inline otherwise.
-  void RunMorsels(size_t n, const std::function<void(size_t)>& fn);
 
   /// Replays every sub-partition's event buffer onto the shared set (and
   /// the shadow mirror) in canonical (partition, sub, call) order;
@@ -249,16 +214,8 @@ class PartitionedMatcher : public Matcher {
   std::vector<Partition> partitions_;
   /// relation -> partitions with at least one rule consuming it (sorted).
   std::unordered_map<SymbolId, std::vector<uint32_t>> consumers_;
-  /// rule name -> home partition (defaults to PartitionOfRelation of the
-  /// first CE's relation; diverges after a re-home).
-  std::unordered_map<std::string, uint32_t> home_of_;
-  /// Cumulative routed WME versions per relation (re-homing load proxy).
-  std::unordered_map<SymbolId, uint64_t> routed_load_;
-  uint64_t bin9_streak_ = 0;          // consecutive top-bin skew batches
-  std::unique_ptr<ThreadPool> pool_;  // null when num_workers <= 1
   Stats stats_;
 
-  RuleSetPtr rules_;                  // full set (re-homing re-partitions it)
   const WorkingMemory* wm_ = nullptr; // for self-pinned rebuild snapshots
 
   std::unique_ptr<Matcher> shadow_;  // full-ruleset serial reference

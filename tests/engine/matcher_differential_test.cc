@@ -44,27 +44,24 @@ std::string JournalText(const RunResult& result) {
   return text;
 }
 
-/// Arms hot-partition splitting, rule re-homing, and match/commit
-/// pipelining with aggressive triggers (for short deterministic runs).
+/// Arms hot-partition splitting and match/commit pipelining with an
+/// aggressive split trigger (for short deterministic runs).
 void ArmSkewAdaptation(ParallelEngineOptions* options) {
   options->match_split = true;
   options->match_split_ways = 3;
   options->match_split_streak = 1;
   options->match_split_share = 0.5;
-  options->match_rehome = true;
-  options->match_rehome_streak = 4;
   options->match_pipeline = true;
 }
 
-RunResult RunLogistics(size_t match_partitions, size_t match_workers,
-                       bool shadow, bool skew_adaptive = false) {
+RunResult RunLogistics(size_t match_partitions, bool shadow,
+                       bool skew_adaptive = false) {
   RuleSetPtr rules;
   auto wm = MakeLogisticsWm(/*boxes=*/12, /*robots=*/4, /*sites=*/4, &rules);
   ParallelEngineOptions options;
   options.base.seed = 42;
   options.num_workers = 1;  // deterministic firing order
   options.num_match_partitions = match_partitions;
-  options.match_workers = match_workers;
   options.match_shadow_check = shadow;
   if (skew_adaptive) ArmSkewAdaptation(&options);
   ParallelEngine engine(wm.get(), rules, options);
@@ -74,14 +71,12 @@ RunResult RunLogistics(size_t match_partitions, size_t match_workers,
 }
 
 TEST(MatcherDifferentialTest, PartitionedJournalIsByteIdenticalToSerial) {
-  const RunResult serial = RunLogistics(0, 1, false);
-  const RunResult partitioned = RunLogistics(8, 4, true);
-  const RunResult ablation = RunLogistics(8, 1, false);  // serial ablation
+  const RunResult serial = RunLogistics(0, false);
+  const RunResult partitioned = RunLogistics(8, true);
 
   ASSERT_GT(serial.log.size(), 0u);
   EXPECT_EQ(serial.log.size(), partitioned.log.size());
   EXPECT_EQ(JournalText(serial), JournalText(partitioned));
-  EXPECT_EQ(JournalText(serial), JournalText(ablation));
   for (size_t i = 0; i < serial.log.size() && i < partitioned.log.size();
        ++i) {
     EXPECT_EQ(serial.log[i].seq, partitioned.log[i].seq);
@@ -92,16 +87,16 @@ TEST(MatcherDifferentialTest, PartitionedJournalIsByteIdenticalToSerial) {
   EXPECT_EQ(serial.stats.match_batches, 0u);
 }
 
-// The tentpole's full stack — hot-partition value-hash splitting,
-// dynamic rule re-homing, AND match/commit pipelining — armed at once
-// (with the shadow differential watching every batch) must still
-// reproduce the serial journal byte for byte: splitting/re-homing
-// preserve canonical merge order, and the pipeline's drain-before-claim
-// keeps single-worker selection order identical to the inline path.
+// The full stack — hot-partition value-hash splitting AND match/commit
+// pipelining — armed at once (with the shadow differential watching
+// every batch) must still reproduce the serial journal byte for byte:
+// splitting preserves canonical merge order, and the pipeline's
+// drain-before-claim keeps single-worker selection order identical to
+// the inline path.
 TEST(MatcherDifferentialTest, SkewAdaptivePipelinedJournalIsByteIdentical) {
-  const RunResult serial = RunLogistics(0, 1, false);
+  const RunResult serial = RunLogistics(0, false);
   const RunResult adaptive =
-      RunLogistics(4, 2, /*shadow=*/true, /*skew_adaptive=*/true);
+      RunLogistics(4, /*shadow=*/true, /*skew_adaptive=*/true);
 
   ASSERT_GT(serial.log.size(), 0u);
   EXPECT_EQ(JournalText(serial), JournalText(adaptive));
@@ -112,25 +107,6 @@ TEST(MatcherDifferentialTest, SkewAdaptivePipelinedJournalIsByteIdentical) {
   EXPECT_GT(adaptive.stats.match_pipeline_batches, 0u);
 }
 
-// Adaptive batch limit as a pass-through ablation: with one worker the
-// sequencer never folds, the controller only ever lowers the limit, and
-// the journal cannot move.
-TEST(MatcherDifferentialTest, AdaptiveBatchLimitKeepsJournalStable) {
-  RuleSetPtr rules;
-  auto wm = MakeLogisticsWm(12, 4, 4, &rules);
-  ParallelEngineOptions options;
-  options.base.seed = 42;
-  options.num_workers = 1;
-  options.num_match_partitions = 4;
-  options.adaptive_batch_limit = true;
-  ParallelEngine engine(wm.get(), rules, options);
-  auto result_or = engine.Run();
-  ASSERT_TRUE(result_or.ok()) << result_or.status();
-  const RunResult serial = RunLogistics(0, 1, false);
-  EXPECT_EQ(JournalText(serial), JournalText(result_or.ValueOrDie()));
-  EXPECT_GE(result_or.ValueOrDie().stats.effective_batch_limit, 1u);
-}
-
 TEST(MatcherDifferentialTest, TreatInnerMatcherAgreesToo) {
   RuleSetPtr rules;
   auto wm = MakeLogisticsWm(10, 3, 3, &rules);
@@ -139,7 +115,6 @@ TEST(MatcherDifferentialTest, TreatInnerMatcherAgreesToo) {
   options.base.matcher = MatcherKind::kTreat;
   options.num_workers = 1;
   options.num_match_partitions = 4;
-  options.match_workers = 2;
   options.match_shadow_check = true;  // TREAT shadows TREAT
   ParallelEngine engine(wm.get(), rules, options);
   auto result_or = engine.Run();
@@ -174,7 +149,6 @@ TEST_P(MatcherDifferentialChaosTest, PartitionedMatchSurvivesFamily) {
     options.client_sessions = 2;
     options.txns_per_session = 6;
     options.match_partitions = 4;
-    options.match_workers = 2;
     options.match_shadow_check = true;
     if (GetParam() == ChaosWorkload::kCrashRecover) {
       options.journal_path = ::testing::TempDir() +
@@ -208,9 +182,9 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string("Unknown");
     });
 
-// Every family again with the tentpole's skew-adaptation stack armed:
-// splitting + re-homing (aggressive triggers) + pipelining + the
-// adaptive batch limit, all under the per-batch shadow differential.
+// Every family again with the skew-adaptation stack armed: splitting
+// (aggressive trigger) + pipelining, under the per-batch shadow
+// differential.
 // Fault injection, client sessions, crash recovery, and the offline
 // audit run exactly as in the base sweep.
 class SkewAdaptiveChaosTest : public ::testing::TestWithParam<ChaosWorkload> {
@@ -226,12 +200,9 @@ TEST_P(SkewAdaptiveChaosTest, ArmedAdaptationSurvivesFamily) {
     options.client_sessions = 2;
     options.txns_per_session = 6;
     options.match_partitions = 4;
-    options.match_workers = 2;
     options.match_shadow_check = true;
     options.match_split = true;
-    options.match_rehome = true;
     options.match_pipeline = true;
-    options.adaptive_batch_limit = true;
     if (GetParam() == ChaosWorkload::kCrashRecover) {
       options.journal_path = ::testing::TempDir() + "skew_adapt_crash_" +
                              std::to_string(t) + ".wal";

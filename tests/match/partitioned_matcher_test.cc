@@ -1,13 +1,13 @@
 // PartitionedMatcher differential + stress tests.
 //
-// The core property: a PartitionedMatcher over any (partitions, workers,
-// inner algorithm) combination reaches a conflict set that dumps
+// The core property: a PartitionedMatcher over any (partitions, inner
+// algorithm) combination reaches a conflict set that dumps
 // byte-identically to the unpartitioned serial matcher after EVERY batch
-// of a randomized multi-relation workload — including the serial ablation
-// (num_workers == 1), cross-partition joins (handoffs), and single-
-// relation skew. A TSan-targeted stress test additionally hammers the
-// shared conflict set with concurrent Claim/Contains readers while
-// batches propagate, which is exactly the engine's access pattern.
+// of a randomized multi-relation workload — including cross-partition
+// joins (handoffs) and single-relation skew. A TSan-targeted stress test
+// additionally hammers the shared conflict set with concurrent
+// Claim/Contains readers while batches propagate, which is exactly the
+// engine's access pattern.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +15,6 @@
 #include <atomic>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "dbps.h"
@@ -113,14 +112,13 @@ std::vector<WmChange> RandomBatch(WorkingMemory* wm, Random* rng) {
 }
 
 class PartitionedEquivalenceTest
-    : public ::testing::TestWithParam<std::tuple<MatcherKind, size_t>> {};
+    : public ::testing::TestWithParam<MatcherKind> {};
 
 // The differential gate, unit-sized: serial matcher and partitioned
 // matcher consume the identical change stream; their conflict sets must
 // dump byte-identically after initialization and after every batch.
 TEST_P(PartitionedEquivalenceTest, MatchesSerialByteForByte) {
-  const MatcherKind kind = std::get<0>(GetParam());
-  const size_t workers = std::get<1>(GetParam());
+  const MatcherKind kind = GetParam();
 
   WorkingMemory wm;
   auto rules = LoadProgram(kWorkloadProgram, &wm).ValueOrDie();
@@ -137,7 +135,6 @@ TEST_P(PartitionedEquivalenceTest, MatchesSerialByteForByte) {
 
   PartitionedMatcher::Options options;
   options.num_partitions = 4;
-  options.num_workers = workers;
   options.inner = kind;
   PartitionedMatcher partitioned(options);
   ASSERT_TRUE(partitioned.Initialize(rules, wm).ok());
@@ -145,7 +142,7 @@ TEST_P(PartitionedEquivalenceTest, MatchesSerialByteForByte) {
   EXPECT_EQ(serial->conflict_set().CanonicalDump(),
             partitioned.conflict_set().CanonicalDump());
 
-  Random rng(1234 + static_cast<uint64_t>(kind) * 100 + workers);
+  Random rng(1235 + static_cast<uint64_t>(kind) * 100);
   for (int batch = 0; batch < 60; ++batch) {
     const std::vector<WmChange> changes = RandomBatch(&wm, &rng);
     serial->ApplyChanges(changes);
@@ -153,7 +150,7 @@ TEST_P(PartitionedEquivalenceTest, MatchesSerialByteForByte) {
     ASSERT_EQ(serial->conflict_set().CanonicalDump(),
               partitioned.conflict_set().CanonicalDump())
         << "diverged at batch " << batch << " (" << MatcherKindToString(kind)
-        << ", " << workers << " workers)";
+        << ")";
   }
 
   const PartitionedMatcher::Stats stats = partitioned.GetStats();
@@ -169,12 +166,9 @@ TEST_P(PartitionedEquivalenceTest, MatchesSerialByteForByte) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllInnerKinds, PartitionedEquivalenceTest,
-    ::testing::Combine(::testing::Values(MatcherKind::kRete,
-                                         MatcherKind::kTreat),
-                       ::testing::Values(size_t{1}, size_t{4})),
-    [](const ::testing::TestParamInfo<std::tuple<MatcherKind, size_t>>& info) {
-      return std::string(MatcherKindToString(std::get<0>(info.param))) +
-             "_w" + std::to_string(std::get<1>(info.param));
+    ::testing::Values(MatcherKind::kRete, MatcherKind::kTreat),
+    [](const ::testing::TestParamInfo<MatcherKind>& info) {
+      return std::string(MatcherKindToString(info.param));
     });
 
 // The in-process shadow check (the chaos trials' differential) agrees
@@ -190,7 +184,6 @@ TEST(PartitionedMatcherShadowTest, ShadowStaysClean) {
   }
   PartitionedMatcher::Options options;
   options.num_partitions = 8;
-  options.num_workers = 2;
   options.shadow_check = true;
   PartitionedMatcher matcher(options);
   ASSERT_TRUE(matcher.Initialize(rules, wm).ok());
@@ -216,7 +209,6 @@ TEST(PartitionedMatcherSkewTest, SingleRelationDegradesToSerial) {
                    .ValueOrDie();
   PartitionedMatcher::Options options;
   options.num_partitions = 8;
-  options.num_workers = 4;
   PartitionedMatcher matcher(options);
   ASSERT_TRUE(matcher.Initialize(rules, wm).ok());
 
@@ -274,7 +266,7 @@ TEST(PartitionedMatcherTest, PartitionOfRelationIsStable) {
 }
 
 // TSan stress: engine workers Claim/Contains/Snapshot the shared conflict
-// set concurrently with morsel-parallel propagation — a hot partition
+// set concurrently with propagation — a hot partition
 // (every batch hits `hot`) plus a cross-partition rule, the shape the
 // tentpole's data-race surface actually has. Run under
 // -fsanitize=thread to verify; the assertions hold regardless.
@@ -290,7 +282,6 @@ TEST(PartitionedMatcherStressTest, ConcurrentReadersDuringPropagation) {
                    .ValueOrDie();
   PartitionedMatcher::Options options;
   options.num_partitions = 4;
-  options.num_workers = 4;
   PartitionedMatcher matcher(options);
   ASSERT_TRUE(matcher.Initialize(rules, wm).ok());
 
@@ -413,7 +404,6 @@ TEST(PartitionedSplitTest, SplitEquivalenceByteForByte) {
 
     PartitionedMatcher::Options options;
     options.num_partitions = 4;
-    options.num_workers = 2;
     options.inner = kind;
     options.split_hot = true;
     options.split_ways = 3;
@@ -465,7 +455,6 @@ TEST(PartitionedSplitTest, TransitiveJoinChainNeverSplits) {
 
   PartitionedMatcher::Options options;
   options.num_partitions = 4;
-  options.num_workers = 2;
   options.split_hot = true;
   options.split_streak = 1;
   options.split_share = 0.5;
@@ -491,95 +480,20 @@ TEST(PartitionedSplitTest, TransitiveJoinChainNeverSplits) {
             1u);
 }
 
-// ---------------------------------------------------------------------
-// Skew adaptation: dynamic rule re-homing.
-
-TEST(PartitionedRehomeTest, RehomeEquivalenceByteForByte) {
-  WorkingMemory wm;
-  auto rules = LoadProgram(kHotJoinProgram, &wm).ValueOrDie();
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(wm.Insert("hot", {Value::Int(i % 4), Value::Int(i)}).ok());
-  }
-  auto serial = CreateMatcher(MatcherKind::kRete);
-  ASSERT_TRUE(serial->Initialize(rules, wm).ok());
-
-  PartitionedMatcher::Options options;
-  options.num_partitions = 4;
-  options.num_workers = 2;
-  options.rehome = true;
-  options.rehome_streak = 3;  // single-relation skew saturates bin 9 fast
-  PartitionedMatcher matcher(options);
-  ASSERT_TRUE(matcher.Initialize(rules, wm).ok());
-
-  Random rng(31337);
-  for (int batch = 0; batch < 40; ++batch) {
-    const std::vector<WmChange> changes = RandomHotBatch(&wm, &rng);
-    serial->ApplyChanges(changes);
-    matcher.ApplyChanges(changes);
-    ASSERT_EQ(serial->conflict_set().CanonicalDump(),
-              matcher.conflict_set().CanonicalDump())
-        << "diverged at batch " << batch;
-  }
-  const PartitionedMatcher::Stats stats = matcher.GetStats();
-  // The trigger fired: either the map actually moved, or rebuilding
-  // reproduced the same assignment and was skipped (anti-thrash).
-  EXPECT_GE(stats.rehomes + stats.rehome_skips, 1u);
-}
-
-// Split + re-home armed together under a multi-relation workload: the
-// adaptation machinery may fire in any order (re-home resets split
-// state); equivalence must hold throughout.
-TEST(PartitionedRehomeTest, SplitAndRehomeTogether) {
-  WorkingMemory wm;
-  auto rules = LoadProgram(kWorkloadProgram, &wm).ValueOrDie();
-  for (int i = 0; i < 6; ++i) {
-    ASSERT_TRUE(wm.Insert("order", {Value::Int(i), Value::Int(i % 3)}).ok());
-    ASSERT_TRUE(
-        wm.Insert("stock", {Value::Int(i), Value::Int((i + 1) % 4)}).ok());
-  }
-  auto serial = CreateMatcher(MatcherKind::kRete);
-  ASSERT_TRUE(serial->Initialize(rules, wm).ok());
-
-  PartitionedMatcher::Options options;
-  options.num_partitions = 4;
-  options.num_workers = 4;
-  options.split_hot = true;
-  options.split_ways = 2;
-  options.split_streak = 2;
-  options.split_share = 0.5;
-  options.rehome = true;
-  options.rehome_streak = 4;
-  PartitionedMatcher matcher(options);
-  ASSERT_TRUE(matcher.Initialize(rules, wm).ok());
-
-  Random rng(2718);
-  for (int batch = 0; batch < 80; ++batch) {
-    const std::vector<WmChange> changes = RandomBatch(&wm, &rng);
-    serial->ApplyChanges(changes);
-    matcher.ApplyChanges(changes);
-    ASSERT_EQ(serial->conflict_set().CanonicalDump(),
-              matcher.conflict_set().CanonicalDump())
-        << "diverged at batch " << batch;
-  }
-}
-
-// TSan stress for the tentpole's new surface: engine-shaped readers
-// hammer the shared conflict set while batches propagate AND the matcher
-// splits its hot partition and re-homes rules mid-run. Aggressive streak
-// knobs force both rebuilds to actually happen while readers are live.
-// Run under -fsanitize=thread to verify; assertions hold regardless.
-TEST(PartitionedMatcherStressTest, ConcurrentReadersDuringSplitAndRehome) {
+// TSan stress for the split surface: engine-shaped readers hammer the
+// shared conflict set while batches propagate AND the matcher splits its
+// hot partition mid-run. An aggressive streak knob forces the rebuild to
+// actually happen while readers are live. Run under -fsanitize=thread to
+// verify; assertions hold regardless.
+TEST(PartitionedMatcherStressTest, ConcurrentReadersDuringSplit) {
   WorkingMemory wm;
   auto rules = LoadProgram(kHotJoinProgram, &wm).ValueOrDie();
   PartitionedMatcher::Options options;
   options.num_partitions = 4;
-  options.num_workers = 4;
   options.split_hot = true;
   options.split_ways = 3;
   options.split_streak = 1;
   options.split_share = 0.5;
-  options.rehome = true;
-  options.rehome_streak = 5;
   PartitionedMatcher matcher(options);
   ASSERT_TRUE(matcher.Initialize(rules, wm).ok());
 
@@ -610,7 +524,6 @@ TEST(PartitionedMatcherStressTest, ConcurrentReadersDuringSplitAndRehome) {
 
   const PartitionedMatcher::Stats stats = matcher.GetStats();
   EXPECT_GE(stats.splits, 1u);
-  EXPECT_GE(stats.rehomes + stats.rehome_skips, 1u);
 
   auto serial = CreateMatcher(MatcherKind::kRete);
   ASSERT_TRUE(serial->Initialize(rules, wm).ok());

@@ -54,16 +54,12 @@ ParallelEngineOptions EngineOptionsFor(const ChaosOptions& options) {
   eo.deadlock_policy = options.deadlock_policy;
   eo.commit_batch_limit = options.commit_batch_limit;
   eo.num_match_partitions = options.match_partitions;
-  eo.match_workers = options.match_workers;
   eo.match_shadow_check = options.match_shadow_check;
   eo.match_split = options.match_split;
   eo.match_split_ways = options.match_split_ways;
   eo.match_split_streak = options.match_split_streak;
   eo.match_split_share = options.match_split_share;
-  eo.match_rehome = options.match_rehome;
-  eo.match_rehome_streak = options.match_rehome_streak;
   eo.match_pipeline = options.match_pipeline;
-  eo.adaptive_batch_limit = options.adaptive_batch_limit;
   eo.audit_every = options.audit_every;
   return eo;
 }

@@ -91,24 +91,19 @@ struct ChaosOptions {
   size_t num_workers = 4;
   // Partitioned match phase (0/1 = the serial matcher):
   size_t match_partitions = 0;
-  size_t match_workers = 2;
   /// Run the serial shadow matcher alongside the partitioned one and
   /// byte-compare conflict-set dumps after every batch — the differential
   /// gate. Any divergence fails the engine run, which fails the trial.
   bool match_shadow_check = false;
   // Skew adaptation + pipelining (partitioned matcher only). The streak
   // knobs below are deliberately aggressive so short chaos trials
-  // actually split and re-home mid-run.
+  // actually split mid-run.
   bool match_split = false;
   size_t match_split_ways = 3;
   size_t match_split_streak = 2;
   double match_split_share = 0.5;
-  bool match_rehome = false;
-  size_t match_rehome_streak = 6;
   /// Propagate committed batches on the dedicated pipeline thread.
   bool match_pipeline = false;
-  /// Self-tune the commit batch limit from observed saturation/stall.
-  bool adaptive_batch_limit = false;
   /// Sample audit evidence onto every Nth journal line (1 = every line).
   uint64_t audit_every = 1;
   /// Commit-sequencer fold limit (1 disables batching). The chaos

@@ -34,15 +34,14 @@
 #                                       # --smoke with its
 #                                       # BENCH_recovery.json validated
 #   DBPS_TIER=matcher tools/check.sh    # matcher-equivalence tier: the
-#                                       # partitioned-matcher suites (value-
-#                                       # hash splitting, rule re-homing,
+#                                       # partitioned-matcher suites (inline
+#                                       # partitions, value-hash splitting,
 #                                       # concurrent-reader stress) plus the
 #                                       # differential suite that replays
 #                                       # every chaos/workload family with
-#                                       # splitting + re-homing + match/
-#                                       # commit pipelining armed, byte-
-#                                       # comparing journals against the
-#                                       # serial engine
+#                                       # splitting + match/commit
+#                                       # pipelining armed, byte-comparing
+#                                       # journals against the serial engine
 #   DBPS_TIER=audit tools/check.sh      # consistency-audit tier: the
 #                                       # auditor unit suite, the mutation
 #                                       # harness (every injected violation
@@ -230,7 +229,7 @@ elif [ "$TIER" = "matcher" ]; then
   # skew adaptation armed, byte-identical journals). Seed-shifted via
   # DBPS_CHAOS_SEED like the other soakable tiers.
   ctest --test-dir "$BUILD_DIR" -j 4 --output-on-failure \
-    -R 'Partitioned|MatcherDifferential|SkewAdaptive|AdaptiveBatch'
+    -R 'Partitioned|MatcherDifferential|SkewAdaptive'
   echo "matcher tier passed"
 elif [ "$TIER" = "audit" ]; then
   # Consistency-audit tier: the auditor's own suites (unit, mutation

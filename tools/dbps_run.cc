@@ -60,24 +60,16 @@
 //   --checkpoint-every=N              write a snapshot checkpoint record
 //                                     into the WAL every N commits
 //   --match-partitions=N              partition the matcher by relation
-//                                     hash into N partitions and propagate
-//                                     commit batches morsel-parallel
+//                                     hash into N partitions, propagated
+//                                     inline on the committing thread
 //                                     (parallel engine; 0 = serial match)
-//   --match-workers=N                 morsel workers draining match
-//                                     partitions (4; 1 = serial ablation)
 //   --match-split                     split a hot partition's alpha
 //                                     memories by value-hash of the
 //                                     first-CE tested attribute into
 //                                     sub-partitions when skew persists
-//   --match-rehome                    rebuild the rule->partition homing
-//                                     map at a pinned snapshot when the
-//                                     skew histogram saturates bin 9
 //   --match-pipeline                  propagate committed batches on a
 //                                     dedicated thread, overlapping match
 //                                     with the next batch's lock phase
-//   --adaptive-batch                  self-tune the commit batch limit
-//                                     from observed saturation and
-//                                     sequencer stall
 //   --audit-every=N                   emit full audit evidence only on
 //                                     every Nth commit (1 = every commit);
 //                                     the auditor treats unaudited lines
@@ -127,11 +119,8 @@ struct Flags {
   uint64_t chaos_seed = 0;
   double fail_rate = 0.05;
   size_t match_partitions = 0;
-  size_t match_workers = 4;
   bool match_split = false;
-  bool match_rehome = false;
   bool match_pipeline = false;
-  bool adaptive_batch = false;
   uint64_t audit_every = 1;
   std::string journal_dir;
   bool recover = false;
@@ -159,9 +148,8 @@ int Usage(const char* argv0) {
                "  [--chaos-seed=N] [--fail-rate=P] [--quiet]\n"
                "  [--journal-dir=DIR] [--recover] [--group-commit]\n"
                "  [--checkpoint-every=N]\n"
-               "  [--match-partitions=N] [--match-workers=N]\n"
-               "  [--match-split] [--match-rehome] [--match-pipeline]\n"
-               "  [--adaptive-batch] [--audit-every=N]\n"
+               "  [--match-partitions=N] [--match-split] [--match-pipeline]\n"
+               "  [--audit-every=N]\n"
                "  <program.dbps>\n",
                argv0);
   return 2;
@@ -299,19 +287,10 @@ StatusOr<Flags> ParseFlags(int argc, char** argv) {
       }
     } else if (ParseFlag(arg, "match-partitions", &value)) {
       flags.match_partitions = std::stoul(value);
-    } else if (ParseFlag(arg, "match-workers", &value)) {
-      flags.match_workers = std::stoul(value);
-      if (flags.match_workers == 0) {
-        return Status::InvalidArgument("--match-workers must be >= 1");
-      }
     } else if (arg == "--match-split") {
       flags.match_split = true;
-    } else if (arg == "--match-rehome") {
-      flags.match_rehome = true;
     } else if (arg == "--match-pipeline") {
       flags.match_pipeline = true;
-    } else if (arg == "--adaptive-batch") {
-      flags.adaptive_batch = true;
     } else if (ParseFlag(arg, "audit-every", &value)) {
       flags.audit_every = std::stoull(value);
     } else if (!arg.empty() && arg[0] == '-') {
@@ -539,11 +518,8 @@ int Run(const Flags& flags) {
     options.deadlock_policy = flags.deadlock_policy;
     options.start_seq = start_seq;
     options.num_match_partitions = flags.match_partitions;
-    options.match_workers = flags.match_workers;
     options.match_split = flags.match_split;
-    options.match_rehome = flags.match_rehome;
     options.match_pipeline = flags.match_pipeline;
-    options.adaptive_batch_limit = flags.adaptive_batch;
     options.audit_every = flags.audit_every;
     JournalFeed* durable = nullptr;
     if (!flags.journal_dir.empty()) {
