@@ -1,7 +1,8 @@
 // Miss Manners at scale: the classic OPS5 match benchmark, generated for
-// N guests and run end-to-end under each match algorithm. The run is the
-// same greedy seating program as examples/programs/manners.dbps, so the
-// firing count is ~N and the cost differences are pure match-phase cost
+// N seats (manners_program.h) and run end-to-end under each match
+// algorithm. It is the greedy seating of examples/programs/manners.dbps
+// with tables, hosts and a guest pool of 2N, so the firing count is
+// ~N + N/8 and the cost differences are pure match-phase cost
 // ([FORG82]/[MIRA84] — the motivation the paper builds on).
 
 #include <cstdio>
@@ -9,81 +10,29 @@
 
 #include "engine/single_thread_engine.h"
 #include "lang/compiler.h"
+#include "manners_program.h"
 #include "report.h"
-#include "util/random.h"
 #include "util/stopwatch.h"
 
 namespace {
 
 using namespace dbps;
 
-std::string MakeManners(int guests, uint64_t seed) {
-  static const char* kHobbies[] = {"chess", "poker", "tennis", "golf"};
-  Random rng(seed);
-  std::string out = R"(
-(relation guest   (name symbol) (sex symbol) (hobby symbol))
-(relation seated  (seat int) (name symbol) (sex symbol) (hobby symbol))
-(relation taken   (name symbol))
-(relation phase   (now symbol) (next-seat int))
-(relation count   (guests int))
-
-(rule seat-first :priority 100
-  (phase ^now start ^next-seat 1)
-  (guest ^name <g> ^sex <sx> ^hobby <h>)
-  -(taken ^name <g>)
-  -->
-  (make seated ^seat 1 ^name <g> ^sex <sx> ^hobby <h>)
-  (make taken ^name <g>)
-  (modify 1 ^now seat ^next-seat 2))
-
-(rule seat-next :priority 90
-  (phase ^now seat ^next-seat <n>)
-  (seated ^name <prev> ^sex <psx> ^seat <s>)
-  -(seated ^seat { > <s> })
-  (guest ^name <prev> ^hobby <h>)
-  (guest ^name <g> ^sex { <> <psx> } ^sex <gsx> ^hobby <h>)
-  -(taken ^name <g>)
-  -->
-  (make seated ^seat <n> ^name <g> ^sex <gsx> ^hobby <h>)
-  (modify 1 ^next-seat (+ <n> 1))
-  (make taken ^name <g>))
-
-(rule all-seated :priority 95
-  (phase ^now seat ^next-seat <n>)
-  (count ^guests { < <n> })
-  -->
-  (modify 1 ^now done)
-  (halt))
-
-(make phase ^now start ^next-seat 1)
-)";
-  out += "(make count ^guests " + std::to_string(guests) + ")\n";
-  for (int g = 0; g < guests; ++g) {
-    std::string name = "g" + std::to_string(g);
-    const char* sex = (g % 2 == 0) ? "m" : "f";
-    // Everyone shares the "mixer" hobby so a greedy chain always
-    // extends, plus one random hobby for join fan-out.
-    out += "(make guest ^name " + name + " ^sex " + sex +
-           " ^hobby mixer)\n";
-    out += "(make guest ^name " + name + " ^sex " + sex + " ^hobby " +
-           kHobbies[rng.Uniform(4)] + ")\n";
-  }
-  return out;
-}
-
-void RunOne(MatcherKind matcher, int guests) {
+void RunOne(MatcherKind matcher, int seats) {
   WorkingMemory wm;
-  auto rules = LoadProgram(MakeManners(guests, 42), &wm).ValueOrDie();
+  auto rules =
+      LoadProgram(bench::MannersProgram(seats, 42), &wm).ValueOrDie();
   EngineOptions options;
   options.matcher = matcher;
   SingleThreadEngine engine(&wm, rules, options);
   Stopwatch stopwatch;
   auto result = engine.Run().ValueOrDie();
   double ms = stopwatch.ElapsedSeconds() * 1e3;
-  DBPS_CHECK_EQ(wm.Count(Sym("seated")), static_cast<size_t>(guests));
-  std::printf("  %-6s N=%-4d %8.1fms  (%llu firings, all %d seated)\n",
-              MatcherKindToString(matcher), guests, ms,
-              (unsigned long long)result.stats.firings, guests);
+  DBPS_CHECK_EQ(wm.Count(Sym("seated")), static_cast<size_t>(seats));
+  std::printf("  %-6s N=%-5d %9.1fms  %7.1fus/firing  (%llu firings)\n",
+              MatcherKindToString(matcher), seats, ms,
+              ms * 1e3 / static_cast<double>(result.stats.firings),
+              (unsigned long long)result.stats.firings);
 }
 
 }  // namespace
@@ -91,23 +40,27 @@ void RunOne(MatcherKind matcher, int guests) {
 int main() {
   bench::Header(
       "Miss Manners at scale — match-phase cost across algorithms\n"
-      "(greedy seating; every run seats all N guests)");
-  for (int guests : {8, 16, 32, 64}) {
-    RunOne(MatcherKind::kRete, guests);
+      "(greedy seating at tables of 8; every run fills all N seats)");
+  for (int seats : {8, 16, 32, 64, 1000, 10000}) {
+    RunOne(MatcherKind::kRete, seats);
   }
   std::printf("\n");
-  for (int guests : {8, 16, 32, 64}) {
-    RunOne(MatcherKind::kTreat, guests);
+  for (int seats : {8, 16, 32, 64, 1000, 10000}) {
+    RunOne(MatcherKind::kTreat, seats);
   }
   std::printf("\n");
-  for (int guests : {8, 16, 32}) {  // naive at 64 is painfully slow
-    RunOne(MatcherKind::kNaive, guests);
+  for (int seats : {8, 16, 32}) {  // naive rematches everything per firing
+    RunOne(MatcherKind::kNaive, seats);
   }
   std::printf(
-      "\nexpected shape: Rete's incremental tokens win as N grows; TREAT\n"
-      "pays seeded-join recomputation but no beta memory; the naive\n"
-      "rematcher explodes (full rematch per firing) — the match-phase\n"
-      "bottleneck [FORG82] the paper's parallel execute phase presumes\n"
-      "solved.\n");
+      "\nexpected shape: Rete and TREAT probe hash-indexed alpha memories,\n"
+      "so the work per firing is set by the table size and the hobby\n"
+      "fan-out (~300 rows), not by N: us/firing grows < 2x from N=1000 to\n"
+      "N=10000 (the guest table outgrows the cache), not 10x. Rete stays\n"
+      "ahead of TREAT, which re-joins from the seed on every phase change\n"
+      "instead of keeping tokens; the naive rematcher's us/firing grows\n"
+      "with N (a full rematch per firing), so it is only run to N=32 —\n"
+      "the match-phase bottleneck [FORG82] the paper's parallel execute\n"
+      "phase presumes solved.\n");
   return 0;
 }

@@ -1,8 +1,10 @@
 #include "match/rete.h"
 
 #include <algorithm>
+#include <deque>
 #include <sstream>
 
+#include "match/alpha_index.h"
 #include "match/naive_matcher.h"
 #include "match/treat.h"
 #include "util/logging.h"
@@ -11,6 +13,7 @@ namespace dbps {
 namespace rete {
 
 struct Token;
+struct WmeInfo;
 class TokenHolder;
 class NegativeNode;
 
@@ -76,14 +79,17 @@ struct BetaTest {
 class AlphaSuccessor {
  public:
   virtual ~AlphaSuccessor() = default;
-  virtual void OnWmeAdded(const WmePtr& wme) = 0;
+  virtual void OnWmeAdded(WmeInfo* info) = 0;
 };
 
 struct AlphaMemory {
   std::vector<AlphaTest> tests;
   SymbolId relation;
-  /// Items currently passing the tests (value keeps the version alive).
-  std::unordered_map<const Wme*, WmePtr> items;
+  /// Items currently passing the tests, with their network bookkeeping.
+  std::unordered_map<const Wme*, WmeInfo*> items;
+  /// One hash index per field an equality join test probes; declared by
+  /// Network::Build before any WME arrives, kept in step with `items`.
+  std::deque<AlphaIndex> indexes;
   /// Descendant-first order (deeper nodes first) — required so a shared
   /// alpha memory does not produce duplicate matches within one rule.
   std::vector<AlphaSuccessor*> successors;
@@ -94,16 +100,27 @@ struct AlphaMemory {
     }
     return true;
   }
+
+  AlphaIndex* IndexOn(size_t field) {
+    for (AlphaIndex& index : indexes) {
+      if (index.field() == field) return &index;
+    }
+    DBPS_CHECK(items.empty()) << "index declared after WMEs arrived";
+    return &indexes.emplace_back(field);
+  }
 };
 
 struct NegJoinResult {
   Token* owner;
-  const Wme* wme;
+  WmeInfo* blocker;
 };
 
 struct Token {
   Token* parent = nullptr;
-  WmePtr wme;  // null for the dummy token and negative-node tokens
+  /// Null for the dummy token and negative-node tokens. `info` keeps the
+  /// version alive: a WME's tokens die before its WmeInfo does.
+  const Wme* wme = nullptr;
+  WmeInfo* info = nullptr;
   TokenHolder* holder = nullptr;
   std::vector<Token*> children;
   /// Only for negative-node tokens: the WMEs currently blocking them.
@@ -139,6 +156,8 @@ class TokenHolder {
 
 class BetaMemory : public TokenHolder {};
 
+/// Per-WME bookkeeping; owned by Network::wme_infos_, whose nodes do not
+/// move, so alpha memories and tokens point at it directly.
 struct WmeInfo {
   WmePtr wme;
   std::vector<AlphaMemory*> amems;
@@ -146,38 +165,51 @@ struct WmeInfo {
   std::vector<NegJoinResult*> neg_results;  // results blocking neg tokens
 };
 
+/// Erases `item` from `v`, searching from the back: tokens mostly die in
+/// reverse order of creation.
+template <typename T>
+void EraseFromBack(std::vector<T>* v, const T& item) {
+  auto it = std::find(v->rbegin(), v->rend(), item);
+  DBPS_DCHECK(it != v->rend());
+  v->erase(std::next(it).base());
+}
+
 class Network {
  public:
   ~Network();
 
-  Status Build(RuleSetPtr rules, ConflictSet* conflict_set);
+  /// `catalog` only names index key fields in ToDot.
+  Status Build(RuleSetPtr rules, ConflictSet* conflict_set,
+               const Catalog& catalog);
   void AddWme(const WmePtr& wme);
   void RemoveWme(const Wme* wme);
+  /// Sizes the alpha memories and indexes over `relation` for `rows`
+  /// WMEs before the initial load, so they do not rehash while filling.
+  void Reserve(SymbolId relation, size_t rows);
 
   ReteMatcher::Stats GetStats() const;
   std::string ToDot() const;
 
   // --- token plumbing (used by the node classes) ---
 
-  Token* MakeToken(TokenHolder* holder, Token* parent, WmePtr wme) {
+  Token* MakeToken(TokenHolder* holder, Token* parent, WmeInfo* info) {
     Token* t = new Token();
     t->parent = parent;
-    t->wme = std::move(wme);
     t->holder = holder;
     if (parent != nullptr) parent->children.push_back(t);
     holder->tokens.push_back(t);
-    if (t->wme != nullptr) {
-      auto it = wme_infos_.find(t->wme.get());
-      DBPS_CHECK(it != wme_infos_.end());
-      it->second.tokens.push_back(t);
+    if (info != nullptr) {
+      t->wme = info->wme.get();
+      t->info = info;
+      info->tokens.push_back(t);
     }
     return t;
   }
 
-  void AddNegJoinResult(Token* owner, const Wme* wme) {
-    auto* result = new NegJoinResult{owner, wme};
+  void AddNegJoinResult(Token* owner, WmeInfo* blocker) {
+    auto* result = new NegJoinResult{owner, blocker};
     owner->join_results.push_back(result);
-    wme_infos_.at(wme).neg_results.push_back(result);
+    blocker->neg_results.push_back(result);
   }
 
   /// Deletes t and its whole subtree, notifying production nodes.
@@ -193,34 +225,16 @@ class Network {
     while (!t->children.empty()) DeleteToken(t->children.back());
   }
 
-  WmeInfo* FindWmeInfo(const Wme* wme) {
-    auto it = wme_infos_.find(wme);
-    return it == wme_infos_.end() ? nullptr : &it->second;
-  }
-
  private:
   void CleanupToken(Token* t) {
     for (NegJoinResult* result : t->join_results) {
-      auto& results = wme_infos_.at(result->wme).neg_results;
-      results.erase(std::find(results.begin(), results.end(), result));
+      EraseFromBack(&result->blocker->neg_results, result);
       delete result;
     }
     t->join_results.clear();
-    auto& holder_tokens = t->holder->tokens;
-    holder_tokens.erase(
-        std::find(holder_tokens.begin(), holder_tokens.end(), t));
-    if (t->wme != nullptr) {
-      auto it = wme_infos_.find(t->wme.get());
-      if (it != wme_infos_.end()) {
-        auto& wme_tokens = it->second.tokens;
-        wme_tokens.erase(
-            std::find(wme_tokens.begin(), wme_tokens.end(), t));
-      }
-    }
-    if (t->parent != nullptr) {
-      auto& siblings = t->parent->children;
-      siblings.erase(std::find(siblings.begin(), siblings.end(), t));
-    }
+    EraseFromBack(&t->holder->tokens, t);
+    if (t->info != nullptr) EraseFromBack(&t->info->tokens, t);
+    if (t->parent != nullptr) EraseFromBack(&t->parent->children, t);
     delete t;
   }
 
@@ -269,47 +283,75 @@ inline bool PassesBetaTests(const std::vector<BetaTest>& tests,
   return true;
 }
 
+/// The right input of a join or negative node: an alpha memory and the
+/// beta tests a candidate WME must pass against a left token. With an
+/// index, a left activation visits only the bucket of the first kEq
+/// test's value; without one (no equality test) it scans the memory.
+struct RightInput {
+  AlphaMemory* amem = nullptr;
+  std::vector<BetaTest> tests;
+  AlphaIndex* index = nullptr;  // keyed on tests[key].field, or null
+  size_t key = 0;
+  std::string index_label;  // "relation.field" of the index, for ToDot
+
+  /// Calls fn(info) for every WME in the memory that passes the tests
+  /// against the chain ending in `t`.
+  template <typename Fn>
+  void ForEachMatch(const Token* t, Fn&& fn) const {
+    if (index == nullptr) {
+      for (const auto& [raw, info] : amem->items) {
+        if (PassesBetaTests(tests, t, *raw)) fn(info);
+      }
+      return;
+    }
+    const BetaTest& probe = tests[key];
+    const Value& value =
+        WalkUp(t, probe.levels_up)->wme->value(probe.other_field);
+    for (const Wme* raw : index->Probe(value)) {
+      if (PassesBetaTests(tests, t, *raw)) fn(amem->items.at(raw));
+    }
+  }
+};
+
 class JoinNode : public Successor, public AlphaSuccessor {
  public:
-  JoinNode(Network* network, TokenHolder* left, AlphaMemory* amem,
-           std::vector<BetaTest> tests, BetaMemory* child)
+  JoinNode(Network* network, TokenHolder* left, RightInput right,
+           BetaMemory* child)
       : network_(network),
         left_(left),
-        amem_(amem),
-        tests_(std::move(tests)),
+        right_(std::move(right)),
         child_(child) {}
 
   void OnTokenAdded(Token* t) override {
-    for (const auto& [raw, wme] : amem_->items) {
-      if (PassesBetaTests(tests_, t, *raw)) Emit(t, wme);
-    }
+    right_.ForEachMatch(t, [&](WmeInfo* info) { Emit(t, info); });
   }
 
   void OnTokenRemoved(Token* t) override {
     (void)t;  // subtree deletion removes the child tokens directly
   }
 
-  void OnWmeAdded(const WmePtr& wme) override {
+  void OnWmeAdded(WmeInfo* info) override {
     for (Token* t : left_->tokens) {
-      if (left_->TokenActive(t) && PassesBetaTests(tests_, t, *wme)) {
-        Emit(t, wme);
+      if (left_->TokenActive(t) &&
+          PassesBetaTests(right_.tests, t, *info->wme)) {
+        Emit(t, info);
       }
     }
   }
 
   TokenHolder* left() const { return left_; }
   BetaMemory* child() const { return child_; }
+  const RightInput& right() const { return right_; }
 
  private:
-  void Emit(Token* t, const WmePtr& wme) {
-    Token* child_token = network_->MakeToken(child_, t, wme);
+  void Emit(Token* t, WmeInfo* info) {
+    Token* child_token = network_->MakeToken(child_, t, info);
     for (Successor* s : child_->successors) s->OnTokenAdded(child_token);
   }
 
   Network* network_;
   TokenHolder* left_;
-  AlphaMemory* amem_;
-  std::vector<BetaTest> tests_;
+  RightInput right_;
   BetaMemory* child_;
 };
 
@@ -317,9 +359,8 @@ class NegativeNode : public TokenHolder,
                      public Successor,
                      public AlphaSuccessor {
  public:
-  NegativeNode(Network* network, AlphaMemory* amem,
-               std::vector<BetaTest> tests)
-      : network_(network), amem_(amem), tests_(std::move(tests)) {}
+  NegativeNode(Network* network, RightInput right)
+      : network_(network), right_(std::move(right)) {}
 
   bool TokenActive(const Token* t) const override {
     return t->join_results.empty();
@@ -329,12 +370,8 @@ class NegativeNode : public TokenHolder,
   // and propagate it iff nothing in the alpha memory blocks it.
   void OnTokenAdded(Token* left) override {
     Token* t = network_->MakeToken(this, left, nullptr);
-    for (const auto& [raw, wme] : amem_->items) {
-      (void)wme;
-      if (PassesBetaTests(tests_, t, *raw)) {
-        network_->AddNegJoinResult(t, raw);
-      }
-    }
+    right_.ForEachMatch(
+        t, [&](WmeInfo* info) { network_->AddNegJoinResult(t, info); });
     if (t->join_results.empty()) {
       for (Successor* s : successors) s->OnTokenAdded(t);
     }
@@ -346,11 +383,11 @@ class NegativeNode : public TokenHolder,
 
   // Right activation: a WME entered the alpha memory; newly blocked
   // tokens lose their downstream matches.
-  void OnWmeAdded(const WmePtr& wme) override {
+  void OnWmeAdded(WmeInfo* info) override {
     for (Token* t : tokens) {
-      if (!PassesBetaTests(tests_, t, *wme)) continue;
+      if (!PassesBetaTests(right_.tests, t, *info->wme)) continue;
       const bool was_active = t->join_results.empty();
-      network_->AddNegJoinResult(t, wme.get());
+      network_->AddNegJoinResult(t, info);
       if (was_active) {
         network_->DeleteDescendants(t);
         for (Successor* s : successors) s->OnTokenRemoved(t);
@@ -364,10 +401,11 @@ class NegativeNode : public TokenHolder,
     for (Successor* s : successors) s->OnTokenAdded(t);
   }
 
+  const RightInput& right() const { return right_; }
+
  private:
   Network* network_;
-  AlphaMemory* amem_;
-  std::vector<BetaTest> tests_;
+  RightInput right_;
 };
 
 class ProductionNode : public Successor {
@@ -385,8 +423,8 @@ class ProductionNode : public Successor {
     matched.reserve(positive_levels_.size());
     for (size_t levels : positive_levels_) {
       const Token* holder_token = WalkUp(t, levels);
-      DBPS_DCHECK(holder_token->wme != nullptr);
-      matched.push_back(holder_token->wme);
+      DBPS_DCHECK(holder_token->info != nullptr);
+      matched.push_back(holder_token->info->wme);
     }
     auto inst = std::make_shared<Instantiation>(rule_, std::move(matched));
     by_token_.emplace(t, inst->key());
@@ -436,7 +474,8 @@ AlphaMemory* Network::GetOrCreateAlphaMemory(SymbolId relation,
   return raw;
 }
 
-Status Network::Build(RuleSetPtr rules, ConflictSet* conflict_set) {
+Status Network::Build(RuleSetPtr rules, ConflictSet* conflict_set,
+                      const Catalog& catalog) {
   rules_ = std::move(rules);
 
   auto dummy = std::make_unique<BetaMemory>();
@@ -489,10 +528,23 @@ Status Network::Build(RuleSetPtr rules, ConflictSet* conflict_set) {
         beta_tests.push_back(
             BetaTest{test.field, test.pred, levels_up, test.other_field});
       }
+      RightInput right;
+      right.amem = amem;
+      right.tests = std::move(beta_tests);
+      right.key = FirstEqTest(right.tests);
+      if (right.key < right.tests.size()) {
+        const size_t field = right.tests[right.key].field;
+        right.index = amem->IndexOn(field);
+        right.index_label = SymName(cond.relation) + ".";
+        auto schema = catalog.GetRelation(cond.relation);
+        right.index_label +=
+            schema.ok() && field < schema.ValueOrDie()->arity()
+                ? SymName(schema.ValueOrDie()->attrs()[field].name)
+                : std::to_string(field);
+      }
 
       if (cond.negated) {
-        auto neg = std::make_unique<NegativeNode>(this, amem,
-                                                  std::move(beta_tests));
+        auto neg = std::make_unique<NegativeNode>(this, std::move(right));
         NegativeNode* raw = neg.get();
         negative_nodes_.push_back(std::move(neg));
         current->successors.push_back(raw);
@@ -504,8 +556,8 @@ Status Network::Build(RuleSetPtr rules, ConflictSet* conflict_set) {
         auto bm = std::make_unique<BetaMemory>();
         BetaMemory* bm_raw = bm.get();
         beta_memories_.push_back(std::move(bm));
-        auto join = std::make_unique<JoinNode>(
-            this, current, amem, std::move(beta_tests), bm_raw);
+        auto join = std::make_unique<JoinNode>(this, current,
+                                               std::move(right), bm_raw);
         JoinNode* join_raw = join.get();
         join_nodes_.push_back(std::move(join));
         current->successors.push_back(join_raw);
@@ -535,15 +587,18 @@ Status Network::Build(RuleSetPtr rules, ConflictSet* conflict_set) {
 }
 
 void Network::AddWme(const WmePtr& wme) {
-  auto [it, inserted] = wme_infos_.emplace(wme.get(), WmeInfo{wme, {}, {}, {}});
+  auto [it, inserted] =
+      wme_infos_.emplace(wme.get(), WmeInfo{wme, {}, {}, {}});
   DBPS_CHECK(inserted) << "WME version added twice: " << wme->ToString();
+  WmeInfo* info = &it->second;
   auto rel_it = alpha_by_relation_.find(wme->relation());
   if (rel_it == alpha_by_relation_.end()) return;
   for (AlphaMemory* amem : rel_it->second) {
     if (!amem->Matches(*wme)) continue;
-    amem->items.emplace(wme.get(), wme);
-    it->second.amems.push_back(amem);
-    for (AlphaSuccessor* s : amem->successors) s->OnWmeAdded(wme);
+    amem->items.emplace(wme.get(), info);
+    for (AlphaIndex& index : amem->indexes) index.Insert(wme.get());
+    info->amems.push_back(amem);
+    for (AlphaSuccessor* s : amem->successors) s->OnWmeAdded(info);
   }
 }
 
@@ -553,7 +608,10 @@ void Network::RemoveWme(const Wme* wme) {
 
   // (1) Make the WME invisible to all joins/negations first, so token
   //     reactivations below cannot re-match it.
-  for (AlphaMemory* amem : it->second.amems) amem->items.erase(wme);
+  for (AlphaMemory* amem : it->second.amems) {
+    amem->items.erase(wme);
+    for (AlphaIndex& index : amem->indexes) index.Erase(wme);
+  }
 
   // (2) Kill every token built on this WME (and their subtrees).
   while (!it->second.tokens.empty()) {
@@ -577,6 +635,15 @@ void Network::RemoveWme(const Wme* wme) {
   wme_infos_.erase(it);
 }
 
+void Network::Reserve(SymbolId relation, size_t rows) {
+  auto it = alpha_by_relation_.find(relation);
+  if (it == alpha_by_relation_.end()) return;
+  for (AlphaMemory* amem : it->second) {
+    amem->items.reserve(rows);
+    for (AlphaIndex& index : amem->indexes) index.Reserve(rows);
+  }
+}
+
 ReteMatcher::Stats Network::GetStats() const {
   ReteMatcher::Stats stats;
   stats.alpha_memories = alpha_memories_.size();
@@ -584,6 +651,12 @@ ReteMatcher::Stats Network::GetStats() const {
   stats.join_nodes = join_nodes_.size();
   stats.negative_nodes = negative_nodes_.size();
   stats.production_nodes = production_nodes_.size();
+  for (const auto& join : join_nodes_) {
+    stats.indexed_nodes += join->right().index != nullptr;
+  }
+  for (const auto& neg : negative_nodes_) {
+    stats.indexed_nodes += neg->right().index != nullptr;
+  }
   for (const auto& bm : beta_memories_) stats.tokens += bm->tokens.size();
   for (const auto& neg : negative_nodes_) stats.tokens += neg->tokens.size();
   stats.wmes = wme_infos_.size();
@@ -619,15 +692,22 @@ std::string Network::ToDot() const {
           << ";\n";
     }
   }
+  // An indexed node's label names the field its alpha memory is probed
+  // on: "join [guest.hobby]".
+  auto label = [](const char* kind, const RightInput& right) {
+    std::string out = kind;
+    if (right.index != nullptr) out += " [" + right.index_label + "]";
+    return out;
+  };
   for (const auto& join : join_nodes_) {
-    out << "  " << name_of(join.get(), "n")
-        << " [shape=diamond,label=\"join\"];\n";
+    out << "  " << name_of(join.get(), "n") << " [shape=diamond,label=\""
+        << label("join", join->right()) << "\"];\n";
     out << "  " << name_of(join.get(), "n") << " -> "
         << name_of(join->child(), "n") << ";\n";
   }
   for (const auto& neg : negative_nodes_) {
-    out << "  " << name_of(neg.get(), "n")
-        << " [shape=diamond,label=\"neg\"];\n";
+    out << "  " << name_of(neg.get(), "n") << " [shape=diamond,label=\""
+        << label("neg", neg->right()) << "\"];\n";
     for (const Successor* s : neg->successors) {
       out << "  " << name_of(neg.get(), "n") << " -> " << name_of(s, "n")
           << ";\n";
@@ -651,11 +731,12 @@ Status ReteMatcher::Initialize(RuleSetPtr rules, const WorkingMemory& wm) {
 }
 
 Status ReteMatcher::InitializeAt(RuleSetPtr rules, const WmSnapshot& snap) {
-  DBPS_RETURN_NOT_OK(network_->Build(std::move(rules), &conflict_set_));
+  DBPS_RETURN_NOT_OK(
+      network_->Build(std::move(rules), &conflict_set_, snap.catalog()));
   for (SymbolId relation : snap.catalog().relation_names()) {
-    for (const WmePtr& wme : snap.Scan(relation)) {
-      network_->AddWme(wme);
-    }
+    const std::vector<WmePtr> rows = snap.Scan(relation);
+    network_->Reserve(relation, rows.size());
+    for (const WmePtr& wme : rows) network_->AddWme(wme);
   }
   return Status::OK();
 }

@@ -11,10 +11,19 @@
 //     stores tokens with their "blocking" join results and only propagates
 //     tokens with zero results. A ProductionNode at the end of each chain
 //     maintains the rule's instantiations in the conflict set.
+//   * Hashed alpha memories (Doorenbos ch. 2): when a join or negative
+//     node has an equality test `field == <var bound earlier>`, its alpha
+//     memory keeps a hash index on that field (alpha_index.h), and a left
+//     activation visits only the bucket of the token's value for the
+//     first such test. Nodes with no equality test scan the whole memory.
+//     Either way every beta test is evaluated, so the index changes the
+//     cost of a match, never its result.
 //
 // Incrementality: ApplyChange feeds individual WME version removals and
-// additions; tokens are created/deleted along the way, so match cost is
-// proportional to the change, not to working-memory size.
+// additions; tokens are created/deleted along the way. A left activation
+// costs the size of the probed bucket (or of the alpha memory, for the
+// scan fallback); a right activation scans the node's left tokens, which
+// have no index.
 
 #ifndef DBPS_MATCH_RETE_H_
 #define DBPS_MATCH_RETE_H_
@@ -47,6 +56,9 @@ class ReteMatcher : public Matcher {
     size_t beta_memories = 0;
     size_t join_nodes = 0;
     size_t negative_nodes = 0;
+    /// Join/negative nodes whose left activations probe an alpha-memory
+    /// hash index instead of scanning the memory.
+    size_t indexed_nodes = 0;
     size_t production_nodes = 0;
     size_t tokens = 0;
     size_t wmes = 0;

@@ -17,6 +17,10 @@ Status TreatMatcher::InitializeAt(RuleSetPtr rules, const WmSnapshot& snap) {
     for (const auto& cond : rule->conditions()) {
       CondMem mem;
       mem.cond = &cond;
+      mem.key = FirstEqTest(cond.join_tests);
+      if (mem.key < cond.join_tests.size()) {
+        mem.index.emplace(cond.join_tests[mem.key].field);
+      }
       if (cond.negated) {
         state.negatives.push_back(std::move(mem));
       } else {
@@ -89,12 +93,38 @@ bool TreatMatcher::PassesJoins(const Condition& cond, const Wme& wme,
   return true;
 }
 
-bool TreatMatcher::Blocked(const CondMem& mem,
-                           const std::vector<WmePtr>& matched) {
-  for (const auto& [raw, wme] : mem.items) {
-    if (PassesJoins(*mem.cond, *raw, matched)) return true;
+void TreatMatcher::CondMem::Insert(const WmePtr& wme) {
+  items.emplace(wme.get(), wme);
+  if (index) index->Insert(wme.get());
+}
+
+bool TreatMatcher::CondMem::Erase(const Wme* wme) {
+  if (items.erase(wme) == 0) return false;
+  if (index) index->Erase(wme);
+  return true;
+}
+
+template <typename Fn>
+bool TreatMatcher::CondMem::ForEachJoined(const std::vector<WmePtr>& matched,
+                                          Fn&& fn) const {
+  if (!index) {
+    for (const auto& [raw, wme] : items) {
+      if (PassesJoins(*cond, *raw, matched) && fn(raw)) return true;
+    }
+    return false;
+  }
+  const JoinTest& probe = cond->join_tests[key];
+  DBPS_DCHECK(probe.other_ce < matched.size());
+  const Value& value = matched[probe.other_ce]->value(probe.other_field);
+  for (const Wme* raw : index->Probe(value)) {
+    if (PassesJoins(*cond, *raw, matched) && fn(raw)) return true;
   }
   return false;
+}
+
+bool TreatMatcher::Blocked(const CondMem& mem,
+                           const std::vector<WmePtr>& matched) {
+  return mem.ForEachJoined(matched, [](const Wme*) { return true; });
 }
 
 void TreatMatcher::Activate(RuleState* state, std::vector<WmePtr> matched) {
@@ -127,18 +157,17 @@ void TreatMatcher::JoinFrom(RuleState* state, size_t depth, size_t seed_pos,
     matched->pop_back();
     return;
   }
-  for (const auto& [raw, wme] : state->positives[depth].items) {
+  const CondMem& mem = state->positives[depth];
+  mem.ForEachJoined(*matched, [&](const Wme* raw) {
     // Duplicate suppression for self-joins: positions before the seed
     // never use the seed WME (a match using it there is found when the
     // earlier position is the seed instead).
-    if (seed != nullptr && depth < seed_pos && raw == seed) continue;
-    if (!PassesJoins(*state->positives[depth].cond, *raw, *matched)) {
-      continue;
-    }
-    matched->push_back(wme);
+    if (seed != nullptr && depth < seed_pos && raw == seed) return false;
+    matched->push_back(mem.items.at(raw));
     JoinFrom(state, depth + 1, seed_pos, seed, matched);
     matched->pop_back();
-  }
+    return false;
+  });
 }
 
 void TreatMatcher::SeededJoin(RuleState* state, size_t seed_pos,
@@ -160,10 +189,10 @@ void TreatMatcher::AddWme(const WmePtr& wme) {
   // below already see the new WME).
   for (auto& state : states_) {
     for (auto& mem : state.positives) {
-      if (PassesAlpha(*mem.cond, *wme)) mem.items.emplace(wme.get(), wme);
+      if (PassesAlpha(*mem.cond, *wme)) mem.Insert(wme);
     }
     for (auto& mem : state.negatives) {
-      if (PassesAlpha(*mem.cond, *wme)) mem.items.emplace(wme.get(), wme);
+      if (PassesAlpha(*mem.cond, *wme)) mem.Insert(wme);
     }
   }
   for (auto& state : states_) {
@@ -195,10 +224,10 @@ void TreatMatcher::RemoveWme(const WmePtr& wme) {
     bool touched_positive = false;
     bool touched_negative = false;
     for (auto& mem : state.positives) {
-      touched_positive |= mem.items.erase(wme.get()) > 0;
+      touched_positive |= mem.Erase(wme.get());
     }
     for (auto& mem : state.negatives) {
-      touched_negative |= mem.items.erase(wme.get()) > 0;
+      touched_negative |= mem.Erase(wme.get());
     }
     if (touched_positive) {
       // Token-free deletion: drop every instantiation built on the WME.

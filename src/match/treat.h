@@ -14,15 +14,22 @@
 //    move); rules whose negated CEs lose the WME are re-joined to
 //    surface newly unblocked instantiations.
 //
+// A CE with an equality join test keeps its alpha memory hash-indexed on
+// that test's field (the AlphaIndex Rete uses), so the nested-loop join
+// and the negation check visit one bucket instead of the whole memory.
+//
 // Compared with Rete it trades join recomputation for zero beta-memory
-// state; bench_match quantifies the trade on this implementation.
+// state; bench_match and bench_manners quantify the trade on this
+// implementation.
 
 #ifndef DBPS_MATCH_TREAT_H_
 #define DBPS_MATCH_TREAT_H_
 
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
+#include "match/alpha_index.h"
 #include "match/matcher.h"
 
 namespace dbps {
@@ -41,6 +48,19 @@ class TreatMatcher : public Matcher {
   struct CondMem {
     const Condition* cond = nullptr;
     std::unordered_map<const Wme*, WmePtr> items;
+    /// Present iff the condition has a kEq join test: indexes `items` on
+    /// that test's field, so a join probes one bucket (alpha_index.h).
+    std::optional<AlphaIndex> index;
+    size_t key = 0;  // position of that test in cond->join_tests
+
+    void Insert(const WmePtr& wme);
+    /// Returns whether `wme` was an item.
+    bool Erase(const Wme* wme);
+    /// Calls fn(raw) for every item that passes the condition's join
+    /// tests against `matched`, until fn returns true; returns whether
+    /// it did.
+    template <typename Fn>
+    bool ForEachJoined(const std::vector<WmePtr>& matched, Fn&& fn) const;
   };
 
   struct RuleState {

@@ -5,9 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <set>
 
 #include "lang/compiler.h"
+#include "manners_program.h"
+#include "match/alpha_index.h"
 #include "match/matcher.h"
 #include "match/naive_matcher.h"
 #include "match/rete.h"
@@ -315,6 +319,53 @@ TEST_P(MatcherTest, ThreeWayJoin) {
   EXPECT_EQ(matcher->conflict_set().size(), 1u);
 }
 
+TEST_P(MatcherTest, ModifiedJoinKeyMovesToItsNewBucket) {
+  // `item ^k` is the equality-join field both rules probe: after a modify
+  // a probe with the old value must miss the item and one with the new
+  // value must hit it, including across int/float (2 == 2.0).
+  WorkingMemory wm;
+  auto rules = LoadProgram(R"(
+(relation probe (k number))
+(relation item (k number) (tag symbol))
+(rule hit (probe ^k <k>) (item ^k <k>) --> (remove 1))
+(rule miss (probe ^k <k>) -(item ^k <k>) --> (remove 1))
+(make item ^k 1 ^tag a)
+)",
+                           &wm)
+                   .ValueOrDie();
+  auto matcher = NewMatcher();
+  ASSERT_TRUE(matcher->Initialize(rules, wm).ok());
+  const WmeId item = wm.Scan(Sym("item"))[0]->id();
+
+  Delta move;
+  move.Modify(item, {{0, Value::Int(2)}});
+  Apply(&wm, matcher.get(), move);
+  Delta old_probe;
+  old_probe.Create(Sym("probe"), {Value::Int(1)});
+  Apply(&wm, matcher.get(), old_probe);
+  EXPECT_EQ(RuleNames(*matcher), (std::multiset<std::string>{"miss"}));
+
+  Delta new_probe;
+  new_probe.Create(Sym("probe"), {Value::Float(2.0)});
+  Apply(&wm, matcher.get(), new_probe);
+  EXPECT_EQ(RuleNames(*matcher),
+            (std::multiset<std::string>{"hit", "miss"}));
+
+  // Back to the first key, as a float: probe 1 now hits, probe 2.0 is
+  // unblocked.
+  Delta back;
+  back.Modify(item, {{0, Value::Float(1.0)}});
+  Apply(&wm, matcher.get(), back);
+  EXPECT_EQ(RuleNames(*matcher),
+            (std::multiset<std::string>{"hit", "miss"}));
+  for (const auto& inst : matcher->conflict_set().Snapshot()) {
+    const Value& probed = inst->matched()[0]->value(0);
+    EXPECT_EQ(probed, inst->rule()->name() == "hit" ? Value::Int(1)
+                                                    : Value::Int(2))
+        << inst->rule()->name();
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllMatchers, MatcherTest,
                          ::testing::Values(MatcherKind::kRete,
                                            MatcherKind::kNaive,
@@ -417,6 +468,96 @@ TEST(Rete, ToDotRendersNetwork) {
   EXPECT_NE(dot.find("digraph rete"), std::string::npos);
   EXPECT_NE(dot.find("neg"), std::string::npos);
   EXPECT_NE(dot.find("prod"), std::string::npos);
+}
+
+TEST(Rete, IndexesEqualityJoinsOnly) {
+  // A node is indexed iff one of its beta tests is an equality; the key
+  // is the first such test's field. One alpha memory (`b`, no alpha
+  // tests) is probed on two fields by two rules, so it holds two indexes.
+  WorkingMemory wm;
+  auto rules = LoadProgram(R"(
+(relation a (x int) (y int))
+(relation b (p int) (q int))
+(rule by-p (a ^x <x>) (b ^q { > <x> } ^p <x>) --> (remove 1))
+(rule by-q (a ^x <x> ^y <y>) -(b ^q <y> ^p <x>) --> (remove 1))
+(rule ranged (a ^x <x>) (b ^p { <> <x> }) --> (remove 1))
+)",
+                           &wm)
+                   .ValueOrDie();
+  ReteMatcher matcher;
+  ASSERT_TRUE(matcher.Initialize(rules, wm).ok());
+  auto stats = matcher.GetStats();
+  EXPECT_EQ(stats.join_nodes + stats.negative_nodes, 6u);
+  EXPECT_EQ(stats.indexed_nodes, 2u);
+  std::string dot = matcher.ToDot();
+  EXPECT_NE(dot.find("label=\"join [b.p]\""), std::string::npos) << dot;
+  EXPECT_NE(dot.find("label=\"neg [b.q]\""), std::string::npos) << dot;
+  EXPECT_NE(dot.find("label=\"join\""), std::string::npos) << dot;
+}
+
+TEST(AlphaIndex, EqualNumbersShareABucket) {
+  // Value::operator== compares an int with a float as doubles, so
+  // 2^60 + 1 equals 2^60 as a float, yet Value::Hash puts the two apart
+  // (past 1e18 floats hash as floats). The index must still find both.
+  const int64_t big = (int64_t{1} << 60) + 1;
+  const double big_float = std::ldexp(1.0, 60);
+  ASSERT_EQ(Value::Int(big), Value::Float(big_float));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Wme a(1, 1, Sym("t"), {Value::Int(big)});
+  Wme b(2, 2, Sym("t"), {Value::Float(big_float)});
+  Wme c(3, 3, Sym("t"), {Value::Float(nan)});
+  Wme d(4, 4, Sym("t"), {Value::Int(3)});
+  AlphaIndex index(0);
+  for (const Wme* wme : {&a, &b, &c, &d}) index.Insert(wme);
+  auto bucket = [&](const Value& key) {
+    std::set<const Wme*> out;
+    for (const Wme* wme : index.Probe(key)) out.insert(wme);
+    return out;
+  };
+  EXPECT_EQ(bucket(Value::Int(big)), (std::set<const Wme*>{&a, &b}));
+  EXPECT_EQ(bucket(Value::Float(big_float)), (std::set<const Wme*>{&a, &b}));
+  EXPECT_EQ(bucket(Value::Float(3.0)), (std::set<const Wme*>{&d}));
+  EXPECT_EQ(bucket(Value::Symbol("x")), (std::set<const Wme*>{}));
+  // NaN equals nothing, not even itself, but must still be erasable.
+  index.Erase(&c);
+  EXPECT_EQ(bucket(Value::Float(nan)), (std::set<const Wme*>{}));
+  index.Erase(&a);
+  EXPECT_EQ(bucket(Value::Int(big)), (std::set<const Wme*>{&b}));
+}
+
+RuleSetPtr OnlyRule(const RuleSetPtr& rules, const std::string& name) {
+  auto only = std::make_shared<RuleSet>();
+  EXPECT_TRUE(only->Add(rules->Find(name)).ok()) << name;
+  return only;
+}
+
+TEST(Rete, MannersJoinsProbeIndexes) {
+  // On bench_manners' program every seat-next node after the first CE
+  // (which joins the dummy token and has nothing to probe with) is
+  // indexed; the `{ < <var> }` limit checks have no equality and scan.
+  WorkingMemory wm;
+  auto rules =
+      LoadProgram(bench::MannersProgram(16, 1), &wm).ValueOrDie();
+
+  ReteMatcher seat_next;
+  ASSERT_TRUE(seat_next.Initialize(OnlyRule(rules, "seat-next"), wm).ok());
+  auto stats = seat_next.GetStats();
+  EXPECT_EQ(stats.join_nodes, 4u);
+  EXPECT_EQ(stats.negative_nodes, 2u);
+  EXPECT_EQ(stats.indexed_nodes, 5u);
+  std::string dot = seat_next.ToDot();
+  for (const char* label :
+       {"join [seated.table]", "neg [seated.table]", "join [guest.name]",
+        "join [guest.hobby]", "neg [taken.name]"}) {
+    EXPECT_NE(dot.find(label), std::string::npos) << label << "\n" << dot;
+  }
+
+  for (const char* name : {"table-full", "all-seated"}) {
+    ReteMatcher limit;
+    ASSERT_TRUE(limit.Initialize(OnlyRule(rules, name), wm).ok());
+    EXPECT_EQ(limit.GetStats().join_nodes, 2u) << name;
+    EXPECT_EQ(limit.GetStats().indexed_nodes, 0u) << name;
+  }
 }
 
 }  // namespace

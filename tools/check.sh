@@ -34,9 +34,13 @@
 #                                       # --smoke with its
 #                                       # BENCH_recovery.json validated
 #   DBPS_TIER=matcher tools/check.sh    # matcher-equivalence tier: the
-#                                       # partitioned-matcher suites (inline
-#                                       # partitions, value-hash splitting,
-#                                       # concurrent-reader stress) plus the
+#                                       # serial-matcher suites (Rete =
+#                                       # TREAT = naive property tests,
+#                                       # Rete stress/structure, the alpha-
+#                                       # memory index), the partitioned-
+#                                       # matcher suites (inline partitions,
+#                                       # value-hash splitting, concurrent-
+#                                       # reader stress) plus the
 #                                       # differential suite that replays
 #                                       # every chaos/workload family with
 #                                       # splitting + match/commit
@@ -224,12 +228,14 @@ EOF
   cp bench/results/BENCH_recovery.json BENCH_recovery.json
   echo "recovery tier passed"
 elif [ "$TIER" = "matcher" ]; then
-  # Matcher-equivalence tier: partitioned-matcher unit + stress suites
+  # Matcher-equivalence tier: the serial matchers' suites (3-way
+  # property tests over random programs, Rete stress and structure, the
+  # alpha-memory hash index), partitioned-matcher unit + stress suites
   # and the engine-level differential suite (serial vs partitioned with
   # skew adaptation armed, byte-identical journals). Seed-shifted via
   # DBPS_CHAOS_SEED like the other soakable tiers.
   ctest --test-dir "$BUILD_DIR" -j 4 --output-on-failure \
-    -R 'Partitioned|MatcherDifferential|SkewAdaptive'
+    -R 'ReteVsNaive|ReteStress|MatcherTest|Rete\.|AlphaIndex|Partitioned|MatcherDifferential|SkewAdaptive'
   echo "matcher tier passed"
 elif [ "$TIER" = "audit" ]; then
   # Consistency-audit tier: the auditor's own suites (unit, mutation
