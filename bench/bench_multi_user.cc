@@ -51,17 +51,11 @@ struct Outcome {
   uint64_t rc_victims = 0;
   uint64_t firings = 0;
   uint64_t rule_aborts = 0;
-  uint64_t fast_path_grants = 0;  // lock grants on the CAS fast path
-  uint64_t slow_path_grants = 0;  // grants under the shard mutex
+  uint64_t lock_waits = 0;        // lock requests that blocked
   uint64_t batched_commits = 0;   // commits folded into multi-commit batches
   int peak_parallel = 0;
   bool valid = false;
   bench::LatencyRecorder latency;  // per committed write txn, ms
-
-  double FastHitPct() const {
-    const uint64_t total = fast_path_grants + slow_path_grants;
-    return total == 0 ? 0.0 : 100.0 * fast_path_grants / total;
-  }
 };
 
 Outcome Run(size_t workers, LockProtocol protocol) {
@@ -134,10 +128,7 @@ Outcome Run(size_t workers, LockProtocol protocol) {
   out.rc_victims = stats.closed_sessions.rc_victim_aborts;
   out.firings = run.stats.firings;
   out.rule_aborts = run.stats.aborts;
-  for (const LockShardCounters& shard : run.stats.lock_shards) {
-    out.fast_path_grants += shard.fast_path_grants;
-    out.slow_path_grants += shard.acquires;
-  }
+  out.lock_waits = engine.lock_stats().blocked;
   out.batched_commits = run.stats.batched_commits;
   out.peak_parallel = run.stats.peak_parallel_executions;
   out.latency = std::move(latency);
@@ -456,136 +447,6 @@ void SweepMatchSkew(bench::JsonReport* report) {
       << "ms unsplit=" << unsplit.ms << "ms";
 }
 
-// ---------------------------------------------------------------------
-// Pipeline ablation: ParallelEngine over independent firings (one
-// single-CE rule per queue relation, no joins, no :cost) with 8 match
-// partitions, propagating each commit batch inline on the committer vs
-// on the MatchPipeline thread. With no firing cost the run is bound by
-// the commit path, which is what the pipeline overlaps. The two
-// configurations alternate kPipelineReps times; each row reports the
-// median wall time, and its percentiles are over the gaps between
-// consecutive commit-batch ends, pooled across reps.
-
-constexpr size_t kPipelineQueues = 8;
-constexpr int kPipelineJobsPerQueue = 100;
-constexpr int kPipelineReps = 5;
-
-std::string PipelineProgram() {
-  std::string text;
-  for (size_t q = 0; q < kPipelineQueues; ++q) {
-    const std::string n = std::to_string(q);
-    text += "(relation q" + n + " (id int))\n";
-    text += "(rule work" + n + " (q" + n + " ^id <i>) --> (remove 1))\n";
-  }
-  return text;
-}
-
-struct PipelineOutcome {
-  double ms = 0;
-  uint64_t firings = 0;
-  uint64_t aborts = 0;
-  uint64_t batched_commits = 0;
-  uint64_t drains = 0;
-  bool valid = false;
-};
-
-PipelineOutcome RunPipelinePhase(size_t workers, bool pipeline,
-                                 bench::LatencyRecorder* batch_gaps) {
-  WorkingMemory wm;
-  auto rules = LoadProgram(PipelineProgram(), &wm).ValueOrDie();
-  Delta preload;
-  for (size_t q = 0; q < kPipelineQueues; ++q) {
-    for (int i = 0; i < kPipelineJobsPerQueue; ++i) {
-      preload.Create(Sym("q" + std::to_string(q)), {Value::Int(i)});
-    }
-  }
-  DBPS_CHECK(wm.Apply(preload).ok());
-  auto pristine = wm.Clone();
-
-  ParallelEngineOptions options;
-  options.num_workers = workers;
-  options.num_match_partitions = 8;
-  options.match_pipeline = pipeline;
-  // Batch ends are emitted by the sequencer head in ticket order, one
-  // batch at a time, so the observer needs no lock.
-  Stopwatch since_batch;
-  options.base.observer = [&](const EngineEvent& event) {
-    if (event.kind != EngineEvent::Kind::kBatchEnd) return;
-    batch_gaps->Add(since_batch.ElapsedSeconds() * 1e3);
-    since_batch.Restart();
-  };
-  ParallelEngine engine(&wm, rules, options);
-  Stopwatch stopwatch;
-  since_batch.Restart();
-  const RunResult run = engine.Run().ValueOrDie();
-
-  PipelineOutcome out;
-  out.ms = stopwatch.ElapsedSeconds() * 1e3;
-  out.firings = run.stats.firings;
-  out.aborts = run.stats.aborts;
-  out.batched_commits = run.stats.batched_commits;
-  out.drains = run.stats.match_pipeline_drains;
-  out.valid = ValidateReplay(pristine.get(), rules, run.log).ok() &&
-              out.firings == kPipelineQueues * kPipelineJobsPerQueue;
-  return out;
-}
-
-void SweepMatchPipeline(bench::JsonReport* report, size_t max_workers) {
-  const size_t workers = max_workers < 4 ? max_workers : 4;
-  bench::Section(
-      "match pipeline — " + std::to_string(kPipelineQueues) + " queues x " +
-      std::to_string(kPipelineJobsPerQueue) +
-      " independent firings, 8 match partitions, " +
-      std::to_string(workers) + " workers, median of " +
-      std::to_string(kPipelineReps) + " alternating runs");
-  std::printf("\n  %-12s %9s %8s %8s %8s %8s %8s %8s %6s\n", "propagate",
-              "ms", "firings", "aborts", "batched", "drains", "p50us",
-              "p99us", "valid");
-
-  struct Config {
-    const char* proto;
-    bool pipeline;
-    std::vector<double> ms;
-    PipelineOutcome last;
-    bench::LatencyRecorder gaps;
-    bool valid = true;
-  };
-  Config configs[] = {{"inline", false, {}, {}, {}},
-                      {"pipeline", true, {}, {}, {}}};
-  for (int rep = 0; rep < kPipelineReps; ++rep) {
-    for (Config& config : configs) {
-      config.last = RunPipelinePhase(workers, config.pipeline, &config.gaps);
-      config.ms.push_back(config.last.ms);
-      config.valid = config.valid && config.last.valid;
-    }
-  }
-  for (Config& config : configs) {
-    std::sort(config.ms.begin(), config.ms.end());
-    const double median = config.ms[config.ms.size() / 2];
-    const PipelineOutcome& out = config.last;
-    std::printf("  %-12s %9.2f %8llu %8llu %8llu %8llu %8.1f %8.1f %6s\n",
-                config.proto, median, (unsigned long long)out.firings,
-                (unsigned long long)out.aborts,
-                (unsigned long long)out.batched_commits,
-                (unsigned long long)out.drains,
-                config.gaps.Percentile(50) * 1e3,
-                config.gaps.Percentile(99) * 1e3,
-                config.valid ? "OK" : "FAIL");
-    DBPS_CHECK(config.valid) << "match pipeline run failed for "
-                             << config.proto;
-    bench::JsonRow row;
-    row.workload = "match_pipeline";
-    row.threads = workers;
-    row.protocol = config.proto;
-    row.wall_ms = median;
-    row.aborts = out.aborts;
-    row.committed = out.firings;
-    row.batched_commits = out.batched_commits;
-    row.SetLatencies(config.gaps);
-    report->Add(row);
-  }
-}
-
 }  // namespace
 
 int main() {
@@ -599,7 +460,7 @@ int main() {
   std::printf(
       "\n  %-8s %-7s %9s %10s %8s %8s %8s %8s %8s %8s %8s %6s %6s\n",
       "protocol", "workers", "ms", "txn/s", "commits", "victims", "firings",
-      "fast%", "batched", "p50ms", "p99ms", "peak", "valid");
+      "waits", "batched", "p50ms", "p99ms", "peak", "valid");
 
   const size_t max_workers = bench::MaxBenchThreads(8);
   bench::JsonReport report("multi_user");
@@ -612,12 +473,13 @@ int main() {
       if (workers > max_workers) continue;
       Outcome out = Run(workers, protocol);
       std::printf(
-          "  %-8s %-7zu %9.1f %10.0f %8llu %8llu %8llu %7.1f%% %8llu "
+          "  %-8s %-7zu %9.1f %10.0f %8llu %8llu %8llu %8llu %8llu "
           "%8.2f %8.2f %6d %6s\n",
           name, workers, out.ms, out.client_commits / (out.ms / 1e3),
           (unsigned long long)out.client_commits,
           (unsigned long long)out.rc_victims,
-          (unsigned long long)out.firings, out.FastHitPct(),
+          (unsigned long long)out.firings,
+          (unsigned long long)out.lock_waits,
           (unsigned long long)out.batched_commits,
           out.latency.Percentile(50), out.latency.Percentile(99),
           out.peak_parallel, out.valid ? "OK" : "FAIL");
@@ -634,8 +496,6 @@ int main() {
       row.wall_ms = out.ms;
       row.aborts = out.rule_aborts + out.rc_victims;
       row.committed = out.client_commits + out.firings;
-      row.fast_path_grants = out.fast_path_grants;
-      row.fast_hit_pct = out.FastHitPct();
       row.batched_commits = out.batched_commits;
       row.SetLatencies(out.latency);
       report.Add(row);
@@ -643,7 +503,6 @@ int main() {
   }
   SweepMatchPhase(&report);
   SweepMatchSkew(&report);
-  SweepMatchPipeline(&report, max_workers);
 
   report.WriteIfRequested();
   DBPS_CHECK(peak_parallel_seen || max_workers <= 1)

@@ -79,11 +79,9 @@ class LatencyRecorder {
 // free). The schema is intentionally flat so CI can diff runs:
 //   {"bench": "...", "rows": [{"workload": ..., "threads": N,
 //     "protocol": ..., "wall_ms": X, "aborts": N, "committed": N,
-//     "fast_path_grants": N, "fast_hit_pct": X, "batched_commits": N,
-//     "p50_ms": X, "p95_ms": X, "p99_ms": X}]}
-// The lock-manager fast-path / commit-batching fields are always
-// emitted (zero when a workload never exercises them) so CI can key on
-// their presence.
+//     "batched_commits": N, "p50_ms": X, "p95_ms": X, "p99_ms": X}]}
+// The commit-batching field is always emitted (zero when a workload
+// never exercises it) so CI can key on its presence.
 struct JsonRow {
   std::string workload;
   size_t threads = 0;
@@ -91,10 +89,6 @@ struct JsonRow {
   double wall_ms = 0;
   uint64_t aborts = 0;
   uint64_t committed = 0;
-  /// Lock grants that completed on the CAS fast path, and the share of
-  /// all grants they represent (percent, 0 when nothing was acquired).
-  uint64_t fast_path_grants = 0;
-  double fast_hit_pct = 0;
   /// Commits that rode a multi-commit sequencer batch.
   uint64_t batched_commits = 0;
   /// Per-transaction latency percentiles in milliseconds (0 when the
@@ -136,8 +130,6 @@ class JsonReport {
       const JsonRow& row = rows_[i];
       char wall[32];
       std::snprintf(wall, sizeof(wall), "%.3f", row.wall_ms);
-      char hit[32];
-      std::snprintf(hit, sizeof(hit), "%.1f", row.fast_hit_pct);
       char p50[32], p95[32], p99[32];
       // Four decimals: in-process medians sit at single-digit
       // microseconds and must not round to zero.
@@ -150,8 +142,6 @@ class JsonReport {
           << "\"wall_ms\": " << wall << ", "
           << "\"aborts\": " << row.aborts << ", "
           << "\"committed\": " << row.committed << ", "
-          << "\"fast_path_grants\": " << row.fast_path_grants << ", "
-          << "\"fast_hit_pct\": " << hit << ", "
           << "\"batched_commits\": " << row.batched_commits << ", "
           << "\"p50_ms\": " << p50 << ", "
           << "\"p95_ms\": " << p95 << ", "

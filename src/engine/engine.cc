@@ -80,29 +80,6 @@ std::string EngineStats::ToString() const {
                           (unsigned long long)match_splits);
     }
   }
-  if (match_pipeline_batches != 0 || match_pipeline_drains != 0) {
-    out += StringPrintf(
-        " pipeline_batches=%llu pipeline_drains=%llu pipeline_stall_us=%llu",
-        (unsigned long long)match_pipeline_batches,
-        (unsigned long long)match_pipeline_drains,
-        (unsigned long long)match_pipeline_stall_micros);
-  }
-  if (!lock_shards.empty()) {
-    uint64_t waits = 0, contentions = 0, fast = 0, retries = 0;
-    for (const LockShardCounters& shard : lock_shards) {
-      waits += shard.waits;
-      contentions += shard.mutex_contentions;
-      fast += shard.fast_path_grants;
-      retries += shard.fast_path_cas_retries;
-    }
-    out += StringPrintf(" lock_shards=%zu shard_waits=%llu "
-                        "shard_mutex_contentions=%llu fast_path_grants=%llu "
-                        "fast_path_cas_retries=%llu",
-                        lock_shards.size(), (unsigned long long)waits,
-                        (unsigned long long)contentions,
-                        (unsigned long long)fast,
-                        (unsigned long long)retries);
-  }
   return out;
 }
 

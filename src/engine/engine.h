@@ -96,19 +96,6 @@ bool IsClientFiring(const InstKey& key);
 /// The log identity of one client session's commits.
 InstKey MakeClientKey(const std::string& session_name);
 
-/// \brief Per-shard contention counters of the striped lock table,
-/// mirrored from the lock manager at the end of a parallel run.
-struct LockShardCounters {
-  uint64_t acquires = 0;           ///< slow-path grants routed to this shard
-  uint64_t waits = 0;              ///< acquisitions that blocked here
-  uint64_t mutex_contentions = 0;  ///< shard-mutex acquisitions that spun
-  uint64_t hold_ns = 0;            ///< cumulative shard-mutex hold time
-  /// Grants that completed on the lock-free CAS fast path (no shard
-  /// mutex touched) and the CAS retries they burned doing it.
-  uint64_t fast_path_grants = 0;
-  uint64_t fast_path_cas_retries = 0;
-};
-
 /// \brief Per-partition counters of the partitioned match phase,
 /// mirrored from PartitionedMatcher at the end of a parallel run.
 struct MatchPartitionCounters {
@@ -151,7 +138,7 @@ struct EngineStats {
   /// High-water mark of firings simultaneously in their execute phase
   /// (parallel engines only) — the achieved degree of parallelism.
   int peak_parallel_executions = 0;
-  // --- Commit sequencer / lock sharding (parallel engines) --------------
+  // --- Commit sequencer (parallel engines) ------------------------------
   /// Commit tickets issued by the pipelined commit sequencer (every
   /// commit attempt that reached the ordered apply stage).
   uint64_t commit_tickets = 0;
@@ -168,8 +155,6 @@ struct EngineStats {
   /// that committed i members (index 0: batches whose members all turned
   /// out cancelled/aborted); the last bucket absorbs larger batches.
   std::array<uint64_t, 9> batch_size_histogram{};
-  /// Per-shard lock-table contention counters (empty for serial engines).
-  std::vector<LockShardCounters> lock_shards;
   // --- Partitioned match phase (parallel engines, when enabled) ---------
   /// Per-partition match counters, mirrored from the partitioned matcher
   /// at the end of the run (empty when matching ran serial).
@@ -192,13 +177,6 @@ struct EngineStats {
   // --- Skew adaptation (hot-partition splitting) ------------------------
   /// Hot partitions split into value-hash sub-partitions during the run.
   uint64_t match_splits = 0;
-  // --- Match/commit pipelining ------------------------------------------
-  /// Batches propagated asynchronously by the match pipeline thread.
-  uint64_t match_pipeline_batches = 0;
-  /// Drain points that found propagation still in flight and blocked.
-  uint64_t match_pipeline_drains = 0;
-  /// Time spent blocked in those drains, microseconds.
-  uint64_t match_pipeline_stall_micros = 0;
   bool halted = false;       ///< a (halt) action committed
   bool hit_max_firings = false;
   double elapsed_seconds = 0.0;

@@ -120,22 +120,6 @@ void ParallelEngine::ExecuteBatch(const std::vector<PendingCommit*>& batch) {
     // applies — it must abort and retry while its batch-mates commit, and
     // nothing of it may reach the log.
     if (DBPS_FAILPOINT("engine.commit.crash_in_batch")) continue;
-    if (!member->is_client && pipeline_ != nullptr) {
-      // Pipelined propagation widens the claim-validation race: phase 2
-      // checked a conflict set that may not yet reflect an invalidating
-      // commit whose propagation was still queued (inline propagation
-      // finished before the invalidator released its Wa locks, so this
-      // could not happen). Re-validate the match against the live WM in
-      // ticket order; a stale member degrades to an abort and retries.
-      bool current = true;
-      for (const auto& [id, tag] : member->key->wmes) {
-        if (!wm_->IsCurrent(id, tag)) {
-          current = false;
-          break;
-        }
-      }
-      if (!current) continue;
-    }
     auto change_or = wm_->Apply(*member->delta);
     if (!change_or.ok()) {
       if (member->is_client) {
@@ -160,22 +144,8 @@ void ParallelEngine::ExecuteBatch(const std::vector<PendingCommit*>& batch) {
   // One matcher propagation pass for the whole batch — the amortization
   // this sequencer exists for. Sound because CanFold admitted only
   // pairwise-disjoint write sets (no change removes a version a sibling
-  // adds). When the match pipeline is armed the pass runs asynchronously
-  // on the pipeline thread: Submit takes a copy (the audit loop below
-  // still reads `changes`) plus a snapshot pinned HERE, in ticket order,
-  // so a split rebuild triggered by this batch feeds from state that
-  // excludes every later batch's apply.
-  if (!changes.empty()) {
-    if (pipeline_ != nullptr) {
-      WmSnapshot rebuild_snap;
-      if (options_.match_split) {
-        rebuild_snap = wm_->SnapshotAt();
-      }
-      pipeline_->Submit(changes, std::move(rebuild_snap));
-    } else {
-      matcher_->ApplyChanges(changes);
-    }
-  }
+  // adds).
+  if (!changes.empty()) matcher_->ApplyChanges(changes);
 
   // Settle each member's Rc–Wa victims in ticket order. Under
   // kRevalidate the sparing snapshot is pinned after the WHOLE batch
@@ -183,21 +153,6 @@ void ParallelEngine::ExecuteBatch(const std::vector<PendingCommit*>& batch) {
   // *more* invalidation, so every spared firing would also have been
   // spared per-commit, and every extra abort is admissible under the
   // paper's rule (ii).
-  if (pipeline_ != nullptr &&
-      options_.abort_policy == AbortPolicy::kRevalidate) {
-    // Revalidation consults the conflict set (Contains): drain queued
-    // propagation — including this batch's — before sparing anyone, or a
-    // victim whose instantiation a pending batch deactivates would be
-    // spared that the inline path would have aborted.
-    bool any_victims = false;
-    for (PendingCommit* member : live) {
-      if (!member->victims.empty()) {
-        any_victims = true;
-        break;
-      }
-    }
-    if (any_victims) pipeline_->Drain();
-  }
   std::vector<size_t> victim_counts;
   victim_counts.reserve(live.size());
   for (PendingCommit* member : live) {
@@ -317,15 +272,11 @@ StatusOr<RunResult> ParallelEngine::Run() {
     matcher_ = CreateMatcher(options_.base.matcher);
   }
   DBPS_RETURN_NOT_OK(matcher_->Initialize(rules_, *wm_));
-  if (partitioned_matcher_ != nullptr && options_.match_pipeline) {
-    pipeline_ = std::make_unique<MatchPipeline>(partitioned_matcher_);
-  }
 
   LockManager::Options lock_options;
   lock_options.protocol = options_.protocol;
   lock_options.deadlock_policy = options_.deadlock_policy;
   lock_options.wait_timeout = options_.lock_timeout;
-  lock_options.num_shards = options_.num_lock_shards;
   lock_manager_ = std::make_unique<LockManager>(lock_options);
   // The release store publishes matcher_/lock_manager_ to client threads
   // observing accepting_external().
@@ -348,17 +299,6 @@ StatusOr<RunResult> ParallelEngine::Run() {
   // only stable once the pipeline is empty).
   std::unique_lock<std::mutex> lock(mu_);
   cv_.wait(lock, [this] { return ext_inflight_ == 0; });
-  if (pipeline_ != nullptr) {
-    // The log and commit_seq_ were stable at worker exit; the matcher's
-    // own stats are not until queued propagation finishes. Destroying the
-    // pipeline drains it and joins the thread.
-    pipeline_->Drain();
-    const MatchPipeline::Stats pipeline_stats = pipeline_->stats();
-    stats_.match_pipeline_batches = pipeline_stats.batches;
-    stats_.match_pipeline_drains = pipeline_stats.drains;
-    stats_.match_pipeline_stall_micros = pipeline_stats.stall_ns / 1000;
-    pipeline_.reset();
-  }
   stats_.elapsed_seconds = stopwatch.ElapsedSeconds();
   stats_.peak_parallel_executions = peak_executing_.load();
   stats_.backoff_micros = backoff_micros_.load();
@@ -371,13 +311,6 @@ StatusOr<RunResult> ParallelEngine::Run() {
   stats_.injected_faults =
       faults_now >= faults_before ? faults_now - faults_before : faults_now;
   lock_stats_ = lock_manager_->GetStats();
-  stats_.lock_shards.clear();
-  stats_.lock_shards.reserve(lock_stats_.shards.size());
-  for (const LockManager::ShardStats& shard : lock_stats_.shards) {
-    stats_.lock_shards.push_back(LockShardCounters{
-        shard.acquires, shard.waits, shard.mutex_contentions, shard.hold_ns,
-        shard.fast_path_grants, shard.fast_path_cas_retries});
-  }
   if (partitioned_matcher_ != nullptr) {
     const PartitionedMatcher::Stats match_stats =
         partitioned_matcher_->GetStats();
@@ -414,19 +347,6 @@ void ParallelEngine::WorkerLoop(size_t worker_index) {
       std::unique_lock<std::mutex> lock(mu_);
       for (;;) {
         if (done_) return;
-        // Match/commit pipelining: the conflict set must reflect every
-        // committed batch before this worker selects — same selection
-        // order as the inline path, and (with the same termination
-        // argument) the run cannot be declared done with propagation
-        // still queued: Submits happen-before in_flight_/ext_inflight_
-        // decrements, which take mu_, which we hold from here through
-        // the done_ decision below.
-        if (pipeline_ != nullptr && !pipeline_->Idle()) {
-          lock.unlock();
-          pipeline_->Drain();
-          lock.lock();
-          continue;
-        }
         // In-flight firings count against the cap: each may still
         // commit, so claiming past firings + in_flight_ could overshoot.
         const bool may_claim =
@@ -499,7 +419,6 @@ int ParallelEngine::FinishAborted(TxnId txn, const InstKey& key,
         EngineEvent{EngineEvent::Kind::kAbort, &key});
   }
   lock_manager_->Release(txn);
-  matcher_->conflict_set().Unclaim(key);
   int streak;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -509,6 +428,10 @@ int ParallelEngine::FinishAborted(TxnId txn, const InstKey& key,
     streak = ++abort_streaks_[key];
     stats_.max_abort_streak =
         std::max(stats_.max_abort_streak, static_cast<uint64_t>(streak));
+    // Unclaim only after the streak is counted: a worker that claims the
+    // key next must see this abort, or it may skip the escalation this
+    // streak earned.
+    matcher_->conflict_set().Unclaim(key);
     --in_flight_;
   }
   cv_.notify_all();

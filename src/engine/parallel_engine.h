@@ -19,8 +19,8 @@
 // abort only those whose instantiation the commit actually invalidated.
 //
 // The commit sequencer replaces the old engine-mutex commit. A committer
-// (a) takes a ticket (one atomic increment), (b) sweeps the striped lock
-// table for Rc–Wa victims while earlier tickets are still applying — the
+// (a) takes a ticket (one atomic increment), (b) sweeps the lock table
+// for Rc–Wa victims while earlier tickets are still applying — the
 // sweep is stable outside any global section because the committer holds
 // its Wa locks, so no NEW conflicting Rc can be granted — then (c)
 // submits its delta to the sequencer. The committer holding the turn is
@@ -60,7 +60,6 @@
 #include <unordered_map>
 
 #include "engine/engine.h"
-#include "engine/match_pipeline.h"
 #include "lock/lock_manager.h"
 #include "rules/rule.h"
 #include "util/statusor.h"
@@ -99,9 +98,6 @@ class ExternalSource {
 struct ParallelEngineOptions {
   EngineOptions base;
   size_t num_workers = 4;  ///< the paper's Np
-  /// Shards of the striped lock table (see LockManager::Options); sized
-  /// from the hardware by default (DefaultNumLockShards).
-  size_t num_lock_shards = DefaultNumLockShards();
   /// Most commits the head-of-ticket-order committer may fold into one
   /// ordered batch (apply + matcher propagation amortized across the
   /// batch; the log keeps the per-ticket order either way). 1 disables
@@ -135,10 +131,9 @@ struct ParallelEngineOptions {
   uint64_t start_seq = 0;
   /// Relation-hash match partitions (match/partitioned_matcher.h). 0 or 1
   /// = the serial matcher exactly as before; >1 partitions the matcher by
-  /// Mix64(relation) % N — mirroring the lock shards — and propagates
-  /// each commit batch's delta partition by partition, inline on the
-  /// committing thread. Ignored for kNaive (the oracle stays serial by
-  /// design).
+  /// Mix64(relation) % N and propagates each commit batch's delta
+  /// partition by partition, inline on the committing thread. Ignored for
+  /// kNaive (the oracle stays serial by design).
   size_t num_match_partitions = 0;
   /// Debug/differential aid: shadow every partitioned-matcher batch with
   /// a full serial matcher and fail the run on the first conflict-set
@@ -155,13 +150,6 @@ struct ParallelEngineOptions {
   size_t match_split_ways = 4;
   size_t match_split_streak = 4;
   double match_split_share = 0.6;
-  /// Route committed batches to the matcher through a dedicated
-  /// propagation thread so batch N's match propagation overlaps batch
-  /// N+1's lock acquisition and victim collection. Workers drain the
-  /// pipeline before claiming the next firing (and before revalidate
-  /// settling), so selection order — and the journal — stay byte-
-  /// identical to the inline path. Ignored when matching runs serial.
-  bool match_pipeline = false;
   /// Emit full audit evidence (`;a(...)`) only on every Nth commit
   /// (0/1 = every commit, the default). Sampled journals stay replayable
   /// and order-checkable; the auditor treats unaudited lines as
@@ -413,9 +401,6 @@ class ParallelEngine {
   /// > 1 on a partitionable algorithm); used for stats harvest and the
   /// shadow-check verdict at the end of the run.
   PartitionedMatcher* partitioned_matcher_ = nullptr;
-  /// Non-null iff match_pipeline is armed on a partitioned matcher; owns
-  /// the dedicated propagation thread (engine/match_pipeline.h).
-  std::unique_ptr<MatchPipeline> pipeline_;
   std::unique_ptr<LockManager> lock_manager_;
 
   /// Worker-scheduling mutex: guards in_flight_, done_, halted_, stats_,

@@ -15,9 +15,7 @@
 #define DBPS_MATCH_ALPHA_INDEX_H_
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -25,33 +23,6 @@
 #include "wm/wme.h"
 
 namespace dbps {
-
-/// Bucketing of index keys. Numbers hash and compare by their double
-/// value, so every pair Value::operator== calls equal shares a bucket:
-/// 3 and 3.0, and also ints beyond 2^53 against the float they round to,
-/// which Value::Hash puts apart. NaN keys (of any payload) equal each
-/// other here, never under Value::operator==, so that Erase can find
-/// them. Distinct ints that round to one double share a bucket too; the
-/// caller's tests tell them apart.
-struct AlphaKeyHash {
-  size_t operator()(const Value& v) const {
-    if (!v.is_number()) return v.Hash();
-    const double d = v.AsNumber();
-    if (std::isnan(d)) return 0;
-    return std::hash<double>{}(d == 0.0 ? 0.0 : d);  // -0.0 == 0.0
-  }
-};
-
-struct AlphaKeyEq {
-  bool operator()(const Value& a, const Value& b) const {
-    if (a.is_number() && b.is_number()) {
-      const double x = a.AsNumber();
-      const double y = b.AsNumber();
-      return x == y || (std::isnan(x) && std::isnan(y));
-    }
-    return a == b;
-  }
-};
 
 class AlphaIndex {
  public:
@@ -89,7 +60,9 @@ class AlphaIndex {
 
  private:
   size_t field_;
-  std::unordered_map<Value, Bucket, AlphaKeyHash, AlphaKeyEq> buckets_;
+  /// ValueKeyEq (not operator==) so that every pair operator== calls
+  /// equal shares a bucket and a NaN key can be found again by Erase.
+  std::unordered_map<Value, Bucket, ValueHash, ValueKeyEq> buckets_;
 };
 
 /// Position of the first kEq test in `tests` (BetaTest or JoinTest), or

@@ -34,8 +34,8 @@ std::string FirstDiffLine(const std::string& a, const std::string& b) {
 }
 
 /// Sub-partition of a WME under value-hash splitting: the same RouteMix
-/// the relation→partition and relation→lock-shard routes use, over the
-/// value hash of the relation's split field.
+/// the relation→partition route uses, over the value hash of the
+/// relation's split field.
 size_t SubOfWme(const WmePtr& wme, size_t field, size_t num_subs) {
   return RouteMix(ValueHash{}(wme->value(field)), num_subs);
 }
@@ -221,11 +221,6 @@ void PartitionedMatcher::ApplyChange(const WmChange& change) {
 }
 
 void PartitionedMatcher::ApplyChanges(const std::vector<WmChange>& changes) {
-  ApplyChangesAt(changes, WmSnapshot());
-}
-
-void PartitionedMatcher::ApplyChangesAt(const std::vector<WmChange>& changes,
-                                        const WmSnapshot& snap) {
   DBPS_CHECK(initialized_) << "ApplyChanges before Initialize";
   const size_t num_parts = partitions_.size();
   stats_.batches++;
@@ -327,16 +322,10 @@ void PartitionedMatcher::ApplyChangesAt(const std::vector<WmChange>& changes,
     }
     if (!to_split.empty()) {
       // Rebuilds read WM state as of right after this batch's applies:
-      // the caller's pinned snapshot when provided (pipelined mode,
-      // where live WM may have advanced), else a self-pinned one.
-      WmSnapshot local;
-      const WmSnapshot* at = &snap;
-      if (!snap.valid()) {
-        local = wm_->SnapshotAt();
-        at = &local;
-      }
+      // the caller propagates in commit order, so that is the live WM.
+      const WmSnapshot at = wm_->SnapshotAt();
       for (size_t i : to_split) {
-        const Status status = SplitPartition(i, *at);
+        const Status status = SplitPartition(i, at);
         DBPS_CHECK(status.ok()) << "hot-partition split failed: "
                                 << status.ToString();
       }

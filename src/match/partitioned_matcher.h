@@ -6,11 +6,9 @@
 //
 // Structure
 //   * Rules are partitioned by the relation hash of their first condition
-//     element: home(rule) = Mix64(first CE's relation) % P — the same mix
-//     the lock manager uses for its shards, so a commit batch's
-//     DeltaWriteSet maps onto matcher partitions the way it maps onto
-//     lock shards. Each partition owns one or more complete, unmodified
-//     serial matchers (Rete or TREAT) built over just its rule subset:
+//     element: home(rule) = Mix64(first CE's relation) % P. Each partition
+//     owns one or more complete, unmodified serial matchers (Rete or
+//     TREAT) built over just its rule subset:
 //     alpha memories, beta/join state and conflict-set insertion work for
 //     those rules live entirely inside the partition.
 //   * A WME change is routed to every partition whose rules consume its
@@ -63,9 +61,8 @@
 //   tests assert byte-identical CanonicalDump()s; the optional shadow
 //   check re-asserts it in-process on every batch.
 //
-// Threading: ApplyChange/ApplyChanges/ApplyChangesAt must be called from
-// one thread at a time (the engine's commit sequencer stage or its match
-// pipeline thread); the shared conflict_set() remains safe for
+// Threading: ApplyChange/ApplyChanges must be called from one thread at
+// a time (the engine's commit sequencer stage); the shared conflict_set() remains safe for
 // concurrent Claim/Contains from engine workers because all mutation
 // happens in the merge phase through the ConflictSet's own mutex.
 
@@ -85,7 +82,7 @@ namespace dbps {
 class PartitionedMatcher : public Matcher {
  public:
   struct Options {
-    /// Number of relation-hash partitions (mirrors lock shards).
+    /// Number of relation-hash partitions.
     size_t num_partitions = 8;
     /// Inner per-partition algorithm. kNaive is unsupported: the naive
     /// oracle rematches against live WM and reads its own conflict set,
@@ -137,19 +134,7 @@ class PartitionedMatcher : public Matcher {
   void ApplyChange(const WmChange& change) override;
   void ApplyChanges(const std::vector<WmChange>& changes) override;
 
-  /// Like ApplyChanges, but any split rebuild this batch triggers uses
-  /// `snap` — a snapshot the caller pinned at the CSN right after this
-  /// batch's WM applies — instead of pinning one from the live WM. The engine's match pipeline runs
-  /// propagation off the commit path, where the live WM may already have
-  /// advanced past this batch; shipping the pinned snapshot with the job
-  /// keeps rebuilds anchored to the state the matcher has actually seen.
-  /// An invalid (default) snapshot falls back to self-pinning, which is
-  /// correct whenever the caller runs propagation in commit order.
-  void ApplyChangesAt(const std::vector<WmChange>& changes,
-                      const WmSnapshot& snap);
-
-  /// Home partition of `relation`: Mix64(relation) % num_partitions —
-  /// deliberately the same function as LockManager::ShardIndex.
+  /// Home partition of `relation`: Mix64(relation) % num_partitions.
   size_t PartitionOfRelation(SymbolId relation) const;
 
   size_t num_partitions() const { return partitions_.size(); }

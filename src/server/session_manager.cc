@@ -15,7 +15,10 @@ SessionManager::SessionManager(const WorkingMemory* wm, ServerOptions options)
 }
 
 SessionManager::~SessionManager() {
-  Close();
+  // Not Close(): that would notify the engine, which has stopped by now
+  // (it reads this manager as its external source while it runs) and may
+  // already be destroyed.
+  closed_.store(true, std::memory_order_release);
   // Sessions hold a raw pointer back to the manager; outliving them is
   // the caller's contract (they are shared_ptrs the caller owns).
   DBPS_CHECK_EQ(live_sessions_.load(), 0u)

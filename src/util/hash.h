@@ -26,12 +26,9 @@ inline uint64_t Mix64(uint64_t k) {
   return k;
 }
 
-/// Routes a 64-bit key to one of `buckets` — the ONE routing function
-/// shared by the striped lock table (LockManager::ShardIndex), the
-/// relation-hash match partitioner, and value-hash sub-partitioning.
-/// Keeping them on the same mix means a relation's lock shard and match
-/// partition decorrelate only via `buckets`, not via hash choice, so
-/// skew observed in one layer predicts skew in the other.
+/// Routes a 64-bit key to one of `buckets` — the routing function shared
+/// by the relation-hash match partitioner and value-hash
+/// sub-partitioning.
 inline size_t RouteMix(uint64_t key, size_t buckets) {
   return static_cast<size_t>(Mix64(key)) % buckets;
 }

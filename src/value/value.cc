@@ -97,16 +97,17 @@ size_t Value::Hash() const {
     case ValueType::kNil:
       break;
     case ValueType::kInt:
-      HashCombine(&seed, int_);
-      break;
     case ValueType::kFloat: {
-      // Hash integral floats like ints so 3 == 3.0 hashes identically.
-      double d = float_;
-      if (d == std::floor(d) && std::abs(d) < 1e18) {
-        seed = static_cast<size_t>(ValueType::kInt);
-        HashCombine(&seed, static_cast<int64_t>(d));
+      // Every number hashes by its double value, so each pair operator==
+      // calls equal hashes alike: 3 and 3.0, and also an int past 2^53
+      // and the float it rounds to. -0.0 hashes as 0.0, and every NaN
+      // alike (ValueKeyEq treats NaNs as one key).
+      seed = static_cast<size_t>(ValueType::kInt);
+      const double d = AsNumber();
+      if (std::isnan(d)) {
+        HashCombine(&seed, uint64_t{0x7ff8000000000000ULL});
       } else {
-        HashCombine(&seed, float_);
+        HashCombine(&seed, d == 0.0 ? 0.0 : d);
       }
       break;
     }

@@ -7,6 +7,7 @@
 #ifndef DBPS_VALUE_VALUE_H_
 #define DBPS_VALUE_VALUE_H_
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <ostream>
@@ -110,6 +111,25 @@ std::ostream& operator<<(std::ostream& os, const Value& v);
 
 struct ValueHash {
   size_t operator()(const Value& v) const { return v.Hash(); }
+};
+
+/// Key equality for hash indexes keyed by Value, consistent with
+/// ValueHash: numbers are equal iff their double values are, and every
+/// NaN equals every other NaN. Unlike operator==, this is an equivalence
+/// relation, which unordered containers require: operator== calls an int
+/// past 2^53 equal to the float it rounds to but not to the int next to
+/// it, and never finds a NaN key again (so one could not be erased). A
+/// bucket under this equality is a superset of the entries operator==
+/// calls equal to the key; callers filter it with operator==.
+struct ValueKeyEq {
+  bool operator()(const Value& a, const Value& b) const {
+    if (a.is_number() && b.is_number()) {
+      const double x = a.AsNumber();
+      const double y = b.AsNumber();
+      return x == y || (std::isnan(x) && std::isnan(y));
+    }
+    return a == b;
+  }
 };
 
 }  // namespace dbps

@@ -310,7 +310,10 @@ std::vector<WmePtr> WorkingMemory::Lookup(SymbolId relation,
     auto bucket = index_it->second.find(v);
     if (bucket != index_it->second.end()) {
       out.reserve(bucket->second.size());
-      for (WmeId id : bucket->second) out.push_back(live_.at(id));
+      for (WmeId id : bucket->second) {
+        const WmePtr& wme = live_.at(id);
+        if (wme->value(attr_index) == v) out.push_back(wme);
+      }
     }
     return out;
   }

@@ -222,7 +222,11 @@ class WorkingMemory {
                                    k.field);
     }
   };
-  using ValueIndex = std::unordered_map<Value, std::unordered_set<WmeId>, ValueHash>;
+  /// Keyed under ValueKeyEq, so a bucket holds every WME operator== may
+  /// call equal to its key (Lookup filters it) and NaN keys can be
+  /// erased.
+  using ValueIndex = std::unordered_map<Value, std::unordered_set<WmeId>,
+                                        ValueHash, ValueKeyEq>;
 
   /// A version that is no longer live, retained for snapshot readers.
   /// Visible to a snapshot at S iff created_csn <= S < deleted_csn.

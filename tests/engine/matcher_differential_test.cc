@@ -44,14 +44,13 @@ std::string JournalText(const RunResult& result) {
   return text;
 }
 
-/// Arms hot-partition splitting and match/commit pipelining with an
-/// aggressive split trigger (for short deterministic runs).
+/// Arms hot-partition splitting with an aggressive split trigger (for
+/// short deterministic runs).
 void ArmSkewAdaptation(ParallelEngineOptions* options) {
   options->match_split = true;
   options->match_split_ways = 3;
   options->match_split_streak = 1;
   options->match_split_share = 0.5;
-  options->match_pipeline = true;
 }
 
 RunResult RunLogistics(size_t match_partitions, bool shadow,
@@ -87,13 +86,10 @@ TEST(MatcherDifferentialTest, PartitionedJournalIsByteIdenticalToSerial) {
   EXPECT_EQ(serial.stats.match_batches, 0u);
 }
 
-// The full stack — hot-partition value-hash splitting AND match/commit
-// pipelining — armed at once (with the shadow differential watching
-// every batch) must still reproduce the serial journal byte for byte:
-// splitting preserves canonical merge order, and the pipeline's
-// drain-before-claim keeps single-worker selection order identical to
-// the inline path.
-TEST(MatcherDifferentialTest, SkewAdaptivePipelinedJournalIsByteIdentical) {
+// Hot-partition value-hash splitting armed (with the shadow differential
+// watching every batch) must still reproduce the serial journal byte for
+// byte: splitting preserves canonical merge order.
+TEST(MatcherDifferentialTest, SkewAdaptiveJournalIsByteIdentical) {
   const RunResult serial = RunLogistics(0, false);
   const RunResult adaptive =
       RunLogistics(4, /*shadow=*/true, /*skew_adaptive=*/true);
@@ -103,8 +99,8 @@ TEST(MatcherDifferentialTest, SkewAdaptivePipelinedJournalIsByteIdentical) {
   for (size_t i = 0; i < serial.log.size() && i < adaptive.log.size(); ++i) {
     EXPECT_EQ(serial.log[i].seq, adaptive.log[i].seq);
   }
-  // The pipeline actually carried the propagation work.
-  EXPECT_GT(adaptive.stats.match_pipeline_batches, 0u);
+  // The partitioned matcher actually carried the propagation work.
+  EXPECT_GT(adaptive.stats.match_batches, 0u);
 }
 
 TEST(MatcherDifferentialTest, TreatInnerMatcherAgreesToo) {
@@ -182,9 +178,8 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string("Unknown");
     });
 
-// Every family again with the skew-adaptation stack armed: splitting
-// (aggressive trigger) + pipelining, under the per-batch shadow
-// differential.
+// Every family again with hot-partition splitting armed (aggressive
+// trigger), under the per-batch shadow differential.
 // Fault injection, client sessions, crash recovery, and the offline
 // audit run exactly as in the base sweep.
 class SkewAdaptiveChaosTest : public ::testing::TestWithParam<ChaosWorkload> {
@@ -202,7 +197,6 @@ TEST_P(SkewAdaptiveChaosTest, ArmedAdaptationSurvivesFamily) {
     options.match_partitions = 4;
     options.match_shadow_check = true;
     options.match_split = true;
-    options.match_pipeline = true;
     if (GetParam() == ChaosWorkload::kCrashRecover) {
       options.journal_path = ::testing::TempDir() + "skew_adapt_crash_" +
                              std::to_string(t) + ".wal";

@@ -36,6 +36,9 @@ LockManager::Options RcRaWaOpts(DeadlockPolicy policy) {
   return options;
 }
 
+// Every case below makes progress through its policy — a grant, a
+// refusal, a wound — and asserts that no lock wait ran into its timeout.
+
 TEST(DeadlockPolicy, NoWaitRefusesImmediately) {
   LockManager lm(Opts(DeadlockPolicy::kNoWait));
   TxnId t1 = lm.Begin(), t2 = lm.Begin();
@@ -45,6 +48,7 @@ TEST(DeadlockPolicy, NoWaitRefusesImmediately) {
   EXPECT_TRUE(st.IsDeadlock()) << st;
   EXPECT_GE(lm.GetStats().deadlocks, 1u);
   EXPECT_EQ(lm.GetStats().blocked, 0u);
+  EXPECT_EQ(lm.GetStats().timeouts, 0u);
 }
 
 TEST(DeadlockPolicy, NoWaitGrantsWhenFree) {
@@ -52,6 +56,7 @@ TEST(DeadlockPolicy, NoWaitGrantsWhenFree) {
   TxnId t1 = lm.Begin();
   EXPECT_TRUE(lm.Acquire(t1, Tuple("r", 1), LockMode::kWa).ok());
   EXPECT_TRUE(lm.Acquire(t1, Tuple("r", 2), LockMode::kRc).ok());
+  EXPECT_EQ(lm.GetStats().timeouts, 0u);
 }
 
 TEST(DeadlockPolicy, WoundWaitOlderWoundsYounger) {
@@ -70,6 +75,7 @@ TEST(DeadlockPolicy, WoundWaitOlderWoundsYounger) {
   EXPECT_GE(lm.GetStats().wounds, 1u);
   lm.Release(younger);  // the wounded transaction rolls back
   EXPECT_TRUE(request.get().ok());
+  EXPECT_EQ(lm.GetStats().timeouts, 0u);
 }
 
 TEST(DeadlockPolicy, WoundWaitYoungerWaitsForOlder) {
@@ -90,6 +96,7 @@ TEST(DeadlockPolicy, WoundWaitYoungerWaitsForOlder) {
   lm.Release(older);
   waiter.join();
   EXPECT_TRUE(granted.load());
+  EXPECT_EQ(lm.GetStats().timeouts, 0u);
 }
 
 TEST(DeadlockPolicy, WoundWaitResolvesUpgradeRace) {
@@ -111,6 +118,7 @@ TEST(DeadlockPolicy, WoundWaitResolvesUpgradeRace) {
       lm.Acquire(younger, Tuple("r", 1), LockMode::kWa).IsAborted());
   lm.Release(younger);
   EXPECT_TRUE(older_upgrade.get().ok());
+  EXPECT_EQ(lm.GetStats().timeouts, 0u);
 }
 
 // --- the same policies under the Rc/Ra/Wa protocol ---------------------
@@ -127,6 +135,7 @@ TEST(DeadlockPolicy, RcRaWaNoWaitRefusesOnWaWaConflict) {
   Status st = lm.Acquire(t2, Tuple("r", 1), LockMode::kWa);
   EXPECT_TRUE(st.IsDeadlock()) << st;
   EXPECT_EQ(lm.GetStats().blocked, 0u);
+  EXPECT_EQ(lm.GetStats().timeouts, 0u);
 }
 
 TEST(DeadlockPolicy, RcRaWaNoWaitStillGrantsWaOverRc) {
@@ -137,6 +146,7 @@ TEST(DeadlockPolicy, RcRaWaNoWaitStillGrantsWaOverRc) {
   ASSERT_TRUE(lm.Acquire(reader, Tuple("r", 1), LockMode::kRc).ok());
   EXPECT_TRUE(lm.Acquire(writer, Tuple("r", 1), LockMode::kWa).ok());
   EXPECT_EQ(lm.GetStats().deadlocks, 0u);
+  EXPECT_EQ(lm.GetStats().timeouts, 0u);
 }
 
 TEST(DeadlockPolicy, RcRaWaWoundWaitOnRcOverWa) {
@@ -155,6 +165,7 @@ TEST(DeadlockPolicy, RcRaWaWoundWaitOnRcOverWa) {
   EXPECT_GE(lm.GetStats().wounds, 1u);
   lm.Release(younger);
   EXPECT_TRUE(request.get().ok());
+  EXPECT_EQ(lm.GetStats().timeouts, 0u);
 }
 
 TEST(DeadlockPolicy, RcRaWaWoundWaitYoungerWaitsOnInsertIntentConflict) {
@@ -186,6 +197,7 @@ TEST(DeadlockPolicy, RcRaWaWoundWaitYoungerWaitsOnInsertIntentConflict) {
   lm.Release(older);
   waiter.join();
   EXPECT_TRUE(granted.load());
+  EXPECT_EQ(lm.GetStats().timeouts, 0u);
 }
 
 TEST(DeadlockPolicy, ToStringNames) {
@@ -222,6 +234,7 @@ TEST_P(DeadlockPolicyEngine, ContendedCounterStaysConsistent) {
   EXPECT_EQ(wm.Scan(Sym("counter"))[0]->value(0), Value::Int(25));
   Status valid = ValidateReplay(pristine.get(), rules, result.log);
   EXPECT_TRUE(valid.ok()) << valid;
+  EXPECT_EQ(engine.lock_stats().timeouts, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -340,6 +353,8 @@ TEST_P(MixedDeadlockTest, ClientsAndFiringsResolveCrossBoundaryCycles) {
   EXPECT_EQ(wm.Count(Sym("req")), 0u);
   EXPECT_EQ(wm.Count(Sym("ack")), expected);
   EXPECT_EQ(engine.live_lock_transactions(), 0u);
+  // Every cycle was broken by the policy, not by a lock timeout.
+  EXPECT_EQ(engine.lock_stats().timeouts, 0u);
 
   // And the interleaved log is still a valid single-thread execution.
   Status replay = ValidateReplay(pristine.get(), rules, result.log);

@@ -1,7 +1,10 @@
-// Tests specific to the striped lock table: shard routing, cross-shard
-// deadlock handling under every policy, Rc-victim sweeps whose Wa set
-// straddles shards, per-shard contention counters, and the buffered
-// trace-sink contract.
+// Lock-manager cases first written for the relation-hash striped table,
+// which the one-table manager replaced. They keep their suite and test
+// names, so their history stays continuous, and now check the semantics
+// that survive: a deadlock spanning two relations under each policy, an
+// Rc-victim sweep whose Wa set spans two relations, and the trace-sink
+// contract (events are emitted outside the manager's mutex, so a sink
+// may call back into the manager).
 
 #include <gtest/gtest.h>
 
@@ -25,91 +28,39 @@ LockObjectId RelationLock(SymbolId relation) {
   return LockObjectId{relation, kRelationLevel};
 }
 
-LockManager::Options Opts(LockProtocol protocol, DeadlockPolicy policy,
-                          size_t shards = 8) {
+LockManager::Options Opts(LockProtocol protocol, DeadlockPolicy policy) {
   LockManager::Options options;
   options.protocol = protocol;
   options.deadlock_policy = policy;
   options.wait_timeout = std::chrono::milliseconds(2000);
-  options.num_shards = shards;
   return options;
 }
 
-/// Two relations that hash to DIFFERENT shards of `lm` — so the scenarios
-/// below genuinely cross a shard boundary.
-std::pair<SymbolId, SymbolId> CrossShardRelations(const LockManager& lm) {
-  const SymbolId first = Sym("xshard-rel-0");
-  for (int i = 1; i < 1000; ++i) {
-    SymbolId candidate = Sym("xshard-rel-" + std::to_string(i));
-    if (lm.ShardOf(RelationLock(candidate)) !=
-        lm.ShardOf(RelationLock(first))) {
-      return {first, candidate};
-    }
-  }
-  ADD_FAILURE() << "no cross-shard relation pair found in 1000 tries";
-  return {first, first};
+/// Two distinct relations: the scenarios below span both.
+std::pair<SymbolId, SymbolId> TwoRelations() {
+  return {Sym("xshard-rel-0"), Sym("xshard-rel-1")};
 }
 
-// --- shard routing -------------------------------------------------------
-
-TEST(StripedLock, ShardCountIsConfigurableAndClamped) {
-  LockManager lm4(Opts(LockProtocol::kRcRaWa, DeadlockPolicy::kDetect, 4));
-  EXPECT_EQ(lm4.num_shards(), 4u);
-  EXPECT_EQ(lm4.GetStats().shards.size(), 4u);
-
-  LockManager lm0(Opts(LockProtocol::kRcRaWa, DeadlockPolicy::kDetect, 0));
-  EXPECT_EQ(lm0.num_shards(), 1u);  // clamped
-
-  // Default shard count follows the hardware: concurrency rounded up to
-  // a power of two, never fewer than 8.
-  LockManager::Options defaults;
-  EXPECT_EQ(defaults.num_shards, DefaultNumLockShards());
-  EXPECT_GE(defaults.num_shards, 8u);
-  EXPECT_EQ(defaults.num_shards & (defaults.num_shards - 1), 0u);
-  EXPECT_GE(defaults.num_shards, std::thread::hardware_concurrency());
-}
-
-TEST(StripedLock, AllObjectsOfOneRelationShareAShard) {
-  LockManager lm(Opts(LockProtocol::kRcRaWa, DeadlockPolicy::kDetect));
-  const SymbolId rel = Sym("routing-rel");
-  const size_t shard = lm.ShardOf(RelationLock(rel));
-  for (WmeId id = 1; id <= 64; ++id) {
-    EXPECT_EQ(lm.ShardOf(Tuple(rel, id)), shard);
-  }
-  EXPECT_EQ(lm.ShardOf(InsertIntentObject(rel, /*txn=*/7)), shard);
-}
-
-TEST(StripedLock, RelationsSpreadAcrossShards) {
-  LockManager lm(Opts(LockProtocol::kRcRaWa, DeadlockPolicy::kDetect));
-  std::vector<bool> hit(lm.num_shards(), false);
-  for (int i = 0; i < 256; ++i) {
-    hit[lm.ShardOf(RelationLock(Sym("spread-" + std::to_string(i))))] = true;
-  }
-  EXPECT_TRUE(std::all_of(hit.begin(), hit.end(), [](bool b) { return b; }))
-      << "256 relations left some of " << lm.num_shards()
-      << " shards empty — suspicious hash";
-}
-
-// --- cross-shard deadlocks ----------------------------------------------
+// --- deadlocks spanning two relations ----------------------------------
 //
-// The waits-for graph is global even though the lock table is striped;
-// a cycle whose two edges live in two different shards must still be
-// detected / prevented / avoided.
+// A cycle whose two edges sit on objects of two different relations must
+// be detected / prevented / avoided.
 
 TEST(StripedLock, CrossShardDeadlockDetected) {
   LockManager lm(Opts(LockProtocol::kTwoPhase, DeadlockPolicy::kDetect));
-  auto [rel_a, rel_b] = CrossShardRelations(lm);
+  auto [rel_a, rel_b] = TwoRelations();
 
   TxnId t1 = lm.Begin(), t2 = lm.Begin();
   ASSERT_TRUE(lm.Acquire(t1, Tuple(rel_a, 1), LockMode::kWa).ok());
   ASSERT_TRUE(lm.Acquire(t2, Tuple(rel_b, 1), LockMode::kWa).ok());
 
-  // t1 blocks on t2's object (edge in shard B)...
+  // t1 blocks on t2's object (edge in relation B)...
   auto blocked = std::async(std::launch::async, [&] {
     return lm.Acquire(t1, Tuple(rel_b, 1), LockMode::kWa);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  // ...then t2 requests t1's object (edge in shard A), closing the cycle.
+  // ...then t2 requests t1's object (edge in relation A), closing the
+  // cycle.
   Status st2 = lm.Acquire(t2, Tuple(rel_a, 1), LockMode::kWa);
   if (st2.IsDeadlock()) {
     // The common order: t1's wait was registered first, so t2's request
@@ -133,7 +84,7 @@ TEST(StripedLock, CrossShardDeadlockDetected) {
 
 TEST(StripedLock, CrossShardDeadlockWoundWait) {
   LockManager lm(Opts(LockProtocol::kTwoPhase, DeadlockPolicy::kWoundWait));
-  auto [rel_a, rel_b] = CrossShardRelations(lm);
+  auto [rel_a, rel_b] = TwoRelations();
 
   TxnId older = lm.Begin(), younger = lm.Begin();
   ASSERT_LT(older, younger);
@@ -148,7 +99,7 @@ TEST(StripedLock, CrossShardDeadlockWoundWait) {
     return st;
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  // The older requester wounds the younger holder across shards, then
+  // The older requester wounds the younger holder, then
   // waits for its release.
   Status older_st = lm.Acquire(older, Tuple(rel_b, 1), LockMode::kWa);
 
@@ -162,7 +113,7 @@ TEST(StripedLock, CrossShardDeadlockWoundWait) {
 
 TEST(StripedLock, CrossShardDeadlockNoWait) {
   LockManager lm(Opts(LockProtocol::kTwoPhase, DeadlockPolicy::kNoWait));
-  auto [rel_a, rel_b] = CrossShardRelations(lm);
+  auto [rel_a, rel_b] = TwoRelations();
 
   TxnId t1 = lm.Begin(), t2 = lm.Begin();
   ASSERT_TRUE(lm.Acquire(t1, Tuple(rel_a, 1), LockMode::kWa).ok());
@@ -174,14 +125,14 @@ TEST(StripedLock, CrossShardDeadlockNoWait) {
   lm.Release(t2);
 }
 
-// --- Rc-victim sweeps straddling shards ---------------------------------
+// --- Rc-victim sweeps spanning relations -------------------------------
 
 TEST(StripedLock, RcVictimCollectionStraddlesShards) {
   LockManager lm(Opts(LockProtocol::kRcRaWa, DeadlockPolicy::kDetect));
-  auto [rel_a, rel_b] = CrossShardRelations(lm);
+  auto [rel_a, rel_b] = TwoRelations();
 
-  // Readers: tuple-level Rc in shard A, tuple-level and relation-level Rc
-  // in shard B. One reader (both_reader) appears in both shards — the
+  // Readers: tuple-level Rc in relation A, tuple-level and relation-level
+  // Rc in relation B. One reader (both_reader) appears in both — the
   // merged victim set must still name it once.
   TxnId reader_a = lm.Begin(), reader_b = lm.Begin(),
         rel_reader_b = lm.Begin(), both_reader = lm.Begin(),
@@ -195,7 +146,7 @@ TEST(StripedLock, RcVictimCollectionStraddlesShards) {
   // Unrelated tuple: must NOT be victimized.
   ASSERT_TRUE(lm.Acquire(bystander, Tuple(rel_a, 99), LockMode::kRc).ok());
 
-  // The committer's Wa set straddles both shards.
+  // The committer's Wa set spans both relations.
   TxnId writer = lm.Begin();
   ASSERT_TRUE(lm.Acquire(writer, Tuple(rel_a, 1), LockMode::kWa).ok());
   ASSERT_TRUE(lm.Acquire(writer, Tuple(rel_b, 2), LockMode::kWa).ok());
@@ -212,59 +163,11 @@ TEST(StripedLock, RcVictimCollectionStraddlesShards) {
   EXPECT_EQ(lm.live_transactions(), 0u);
 }
 
-TEST(StripedLock, PerShardCountersAttributeTraffic) {
-  LockManager lm(Opts(LockProtocol::kRcRaWa, DeadlockPolicy::kDetect, 4));
-  auto [rel_a, rel_b] = CrossShardRelations(lm);
-  const size_t shard_a = lm.ShardOf(RelationLock(rel_a));
-  const size_t shard_b = lm.ShardOf(RelationLock(rel_b));
-
-  TxnId t = lm.Begin();
-  for (WmeId id = 1; id <= 5; ++id) {
-    ASSERT_TRUE(lm.Acquire(t, Tuple(rel_a, id), LockMode::kRc).ok());
-  }
-  ASSERT_TRUE(lm.Acquire(t, Tuple(rel_b, 1), LockMode::kRc).ok());
-  lm.Release(t);
-
-  LockManager::Stats stats = lm.GetStats();
-  ASSERT_EQ(stats.shards.size(), 4u);
-  // Uncontended tuple Rc grants land on the CAS fast path; per-shard
-  // slow `acquires` plus fast grants must still attribute every grant to
-  // the right shard and sum to the global count.
-  EXPECT_GE(stats.shards[shard_a].acquires + stats.shards[shard_a].fast_path_grants, 5u);
-  EXPECT_GE(stats.shards[shard_b].acquires + stats.shards[shard_b].fast_path_grants, 1u);
-  uint64_t total = 0;
-  for (const auto& shard : stats.shards) {
-    total += shard.acquires + shard.fast_path_grants;
-  }
-  EXPECT_EQ(total, stats.acquired);
-  EXPECT_EQ(stats.fast_path_grants, 6u);  // all six grants were fast
-}
-
-TEST(StripedLock, ShardWaitCountersCountBlockedAcquires) {
-  LockManager lm(Opts(LockProtocol::kTwoPhase, DeadlockPolicy::kDetect));
-  const SymbolId rel = Sym("wait-counter-rel");
-  const size_t shard = lm.ShardOf(RelationLock(rel));
-
-  TxnId holder = lm.Begin(), waiter = lm.Begin();
-  ASSERT_TRUE(lm.Acquire(holder, Tuple(rel, 1), LockMode::kWa).ok());
-  auto blocked = std::async(std::launch::async, [&] {
-    return lm.Acquire(waiter, Tuple(rel, 1), LockMode::kWa);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  lm.Release(holder);
-  ASSERT_TRUE(blocked.get().ok());
-  lm.Release(waiter);
-
-  EXPECT_GE(lm.GetStats().shards[shard].waits, 1u);
-  EXPECT_GE(lm.GetStats().blocked, 1u);
-}
-
 // --- trace sink contract -------------------------------------------------
 //
-// Events are buffered inside the manager's critical sections and emitted
-// only after every internal lock is dropped, so a sink may call straight
-// back into the manager. Before the striping refactor this deadlocked
-// (the sink ran under the global table mutex) — regression coverage.
+// Events are buffered while the manager's mutex is held and emitted only
+// after it is dropped, so a sink may call straight back into the
+// manager. A sink run under the mutex would deadlock here.
 
 TEST(StripedLock, TraceSinkMayReenterTheManager) {
   LockManager* manager = nullptr;

@@ -59,7 +59,6 @@ ParallelEngineOptions EngineOptionsFor(const ChaosOptions& options) {
   eo.match_split_ways = options.match_split_ways;
   eo.match_split_streak = options.match_split_streak;
   eo.match_split_share = options.match_split_share;
-  eo.match_pipeline = options.match_pipeline;
   eo.audit_every = options.audit_every;
   return eo;
 }

@@ -102,8 +102,6 @@ struct ChaosOptions {
   size_t match_split_ways = 3;
   size_t match_split_streak = 2;
   double match_split_share = 0.5;
-  /// Propagate committed batches on the dedicated pipeline thread.
-  bool match_pipeline = false;
   /// Sample audit evidence onto every Nth journal line (1 = every line).
   uint64_t audit_every = 1;
   /// Commit-sequencer fold limit (1 disables batching). The chaos

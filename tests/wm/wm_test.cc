@@ -1,5 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "wm/working_memory.h"
 
 namespace dbps {
@@ -154,6 +162,73 @@ TEST_F(WorkingMemoryTest, IndexMaintainedAcrossDelta) {
   ASSERT_TRUE(wm_.Apply(delta).ok());
   EXPECT_EQ(wm_.Lookup(Sym("box"), 1, Value::Symbol("a")).size(), 0u);
   EXPECT_EQ(wm_.Lookup(Sym("box"), 1, Value::Symbol("b")).size(), 1u);
+}
+
+// Property: an indexed Lookup returns exactly the rows a scan does, for
+// numeric keys where hashing is easy to get wrong — ints around 2^53 and
+// 2^60 next to the floats they round to, +0.0 and -0.0, NaNs of two
+// payloads, and int/float pairs — through inserts and deletes. The same
+// rows live in an indexed relation and an unindexed twin.
+TEST(WorkingMemoryIndex, IndexedLookupEqualsScanForNumericEdgeKeys) {
+  WorkingMemory wm;
+  ASSERT_TRUE(wm.CreateRelation("indexed", {{"k", AttrType::kNumber}}).ok());
+  ASSERT_TRUE(wm.CreateRelation("scanned", {{"k", AttrType::kNumber}}).ok());
+  ASSERT_TRUE(wm.CreateIndex(Sym("indexed"), Sym("k")).ok());
+
+  constexpr int64_t k53 = int64_t{1} << 53;
+  constexpr int64_t k60 = int64_t{1} << 60;
+  const std::vector<Value> pool = {
+      Value::Int(k53 - 1), Value::Int(k53), Value::Int(k53 + 1),
+      Value::Int(k53 + 2), Value::Float(static_cast<double>(k53)),
+      Value::Float(static_cast<double>(k53 + 2)), Value::Int(k60),
+      Value::Int(k60 + 1), Value::Float(static_cast<double>(k60)),
+      Value::Int(std::numeric_limits<int64_t>::max()),
+      Value::Float(9223372036854775808.0), Value::Int(0),
+      Value::Float(0.0), Value::Float(-0.0),
+      Value::Float(std::nan("")), Value::Float(std::nan("7")),
+      Value::Int(3), Value::Float(3.0), Value::Float(3.5), Value::Int(-1),
+      Value::Float(-1.0)};
+
+  auto rows = [&](const char* relation, const Value& key) {
+    std::vector<std::string> out;
+    for (const WmePtr& wme : wm.Lookup(Sym(relation), 0, key)) {
+      out.push_back(wme->value(0).ToString());
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  auto expect_lookups_agree = [&](int step) {
+    for (const Value& key : pool) {
+      EXPECT_EQ(rows("indexed", key), rows("scanned", key))
+          << "key " << key.ToString() << " after step " << step;
+    }
+  };
+
+  std::mt19937 rng(20261019);
+  std::vector<std::pair<WmeId, WmeId>> live;  // (indexed, scanned) twins
+  for (int step = 0; step < 300; ++step) {
+    if (!live.empty() && rng() % 3 == 0) {
+      const size_t victim = rng() % live.size();
+      ASSERT_TRUE(wm.Delete(live[victim].first).ok());
+      ASSERT_TRUE(wm.Delete(live[victim].second).ok());
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+    } else {
+      const Value& v = pool[rng() % pool.size()];
+      const WmeId a = wm.Insert("indexed", {v}).ValueOrDie()->id();
+      const WmeId b = wm.Insert("scanned", {v}).ValueOrDie()->id();
+      live.emplace_back(a, b);
+    }
+    if (step % 10 == 0) expect_lookups_agree(step);
+  }
+  expect_lookups_agree(300);
+  // Deleting every row empties every bucket, NaN keys included.
+  for (const auto& [a, b] : live) {
+    ASSERT_TRUE(wm.Delete(a).ok());
+    ASSERT_TRUE(wm.Delete(b).ok());
+  }
+  for (const Value& key : pool) {
+    EXPECT_TRUE(wm.Lookup(Sym("indexed"), 0, key).empty());
+  }
 }
 
 TEST_F(WorkingMemoryTest, DuplicateIndexRejected) {

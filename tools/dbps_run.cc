@@ -7,9 +7,6 @@
 //
 //   --engine=single|parallel|static   interpreter (default: single)
 //   --workers=N                       parallel/static worker count (4)
-//   --lock-shards=N                   lock-table shard count (parallel;
-//                                     default: hardware concurrency
-//                                     rounded up to a power of two, min 8)
 //   --commit-batch=N                  max commits the sequencer head folds
 //                                     into one ordered batch (8; 1
 //                                     disables batching)
@@ -67,9 +64,6 @@
 //                                     memories by value-hash of the
 //                                     first-CE tested attribute into
 //                                     sub-partitions when skew persists
-//   --match-pipeline                  propagate committed batches on a
-//                                     dedicated thread, overlapping match
-//                                     with the next batch's lock phase
 //   --audit-every=N                   emit full audit evidence only on
 //                                     every Nth commit (1 = every commit);
 //                                     the auditor treats unaudited lines
@@ -97,7 +91,6 @@ using namespace dbps;
 struct Flags {
   std::string engine = "single";
   size_t workers = 4;
-  size_t lock_shards = DefaultNumLockShards();
   size_t commit_batch = 8;
   LockProtocol protocol = LockProtocol::kRcRaWa;
   AbortPolicy abort_policy = AbortPolicy::kAbort;
@@ -120,7 +113,6 @@ struct Flags {
   double fail_rate = 0.05;
   size_t match_partitions = 0;
   bool match_split = false;
-  bool match_pipeline = false;
   uint64_t audit_every = 1;
   std::string journal_dir;
   bool recover = false;
@@ -135,7 +127,7 @@ struct Flags {
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--engine=single|parallel|static] [--workers=N]\n"
-               "  [--lock-shards=N] [--commit-batch=N]\n"
+               "  [--commit-batch=N]\n"
                "  [--protocol=2pl|rcrawa] [--abort-policy=abort|revalidate]\n"
                "  [--deadlock=detect|wound-wait|no-wait]\n"
                "  [--strategy=priority|lex|mea|fifo|random] [--seed=N]\n"
@@ -148,7 +140,7 @@ int Usage(const char* argv0) {
                "  [--chaos-seed=N] [--fail-rate=P] [--quiet]\n"
                "  [--journal-dir=DIR] [--recover] [--group-commit]\n"
                "  [--checkpoint-every=N]\n"
-               "  [--match-partitions=N] [--match-split] [--match-pipeline]\n"
+               "  [--match-partitions=N] [--match-split]\n"
                "  [--audit-every=N]\n"
                "  <program.dbps>\n",
                argv0);
@@ -185,8 +177,6 @@ StatusOr<Flags> ParseFlags(int argc, char** argv) {
       flags.engine = value;
     } else if (ParseFlag(arg, "workers", &value)) {
       flags.workers = std::stoul(value);
-    } else if (ParseFlag(arg, "lock-shards", &value)) {
-      flags.lock_shards = std::stoul(value);
     } else if (ParseFlag(arg, "commit-batch", &value)) {
       flags.commit_batch = std::stoul(value);
       if (flags.commit_batch == 0) {
@@ -289,8 +279,6 @@ StatusOr<Flags> ParseFlags(int argc, char** argv) {
       flags.match_partitions = std::stoul(value);
     } else if (arg == "--match-split") {
       flags.match_split = true;
-    } else if (arg == "--match-pipeline") {
-      flags.match_pipeline = true;
     } else if (ParseFlag(arg, "audit-every", &value)) {
       flags.audit_every = std::stoull(value);
     } else if (!arg.empty() && arg[0] == '-') {
@@ -511,7 +499,6 @@ int Run(const Flags& flags) {
     ParallelEngineOptions options;
     options.base = base;
     options.num_workers = flags.workers;
-    options.num_lock_shards = flags.lock_shards;
     options.commit_batch_limit = flags.commit_batch;
     options.protocol = flags.protocol;
     options.abort_policy = flags.abort_policy;
@@ -519,7 +506,6 @@ int Run(const Flags& flags) {
     options.start_seq = start_seq;
     options.num_match_partitions = flags.match_partitions;
     options.match_split = flags.match_split;
-    options.match_pipeline = flags.match_pipeline;
     options.audit_every = flags.audit_every;
     JournalFeed* durable = nullptr;
     if (!flags.journal_dir.empty()) {

@@ -17,7 +17,7 @@
 #   DBPS_SOAK_DIR      artifact directory (default build/soak)
 #   DBPS_SOAK_TIERS    tiers to sweep (default "chaos recovery audit
 #                      matcher" — matcher covers the differential suite
-#                      with splitting + pipelining armed)
+#                      with hot-partition splitting armed)
 #   DBPS_CHAOS_TRIALS  trial multiplier per tier run (default 100)
 #   DBPS_SANITIZE      forwarded to check.sh (e.g. thread for TSan soaks)
 #
