@@ -55,7 +55,7 @@ int main() {
   std::printf(
       "\nexpected shape: Rete and TREAT probe hash-indexed alpha memories,\n"
       "so the work per firing is set by the table size and the hobby\n"
-      "fan-out (~300 rows), not by N: us/firing grows < 2x from N=1000 to\n"
+      "fan-out (~300 rows), not by N: us/firing grows 2-3x from N=1000 to\n"
       "N=10000 (the guest table outgrows the cache), not 10x. Rete stays\n"
       "ahead of TREAT, which re-joins from the seed on every phase change\n"
       "instead of keeping tokens; the naive rematcher's us/firing grows\n"

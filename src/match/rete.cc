@@ -115,6 +115,65 @@ struct NegJoinResult {
   WmeInfo* blocker;
 };
 
+/// A token's place in one intrusive list.
+struct TokenLinks {
+  Token* prev = nullptr;
+  Token* next = nullptr;
+};
+
+/// An intrusive doubly-linked list of tokens threaded through the
+/// `kLinks` member of each token (Doorenbos ch. 2): append and unlink are
+/// O(1) and keep the order of the remaining tokens, so a list walks in
+/// creation order exactly as the vectors it replaced did.
+template <TokenLinks Token::*kLinks>
+class TokenList {
+ public:
+  class Iterator {
+   public:
+    explicit Iterator(Token* t) : t_(t) {}
+    Token* operator*() const { return t_; }
+    Iterator& operator++() {
+      t_ = (t_->*kLinks).next;
+      return *this;
+    }
+    bool operator!=(const Iterator& other) const { return t_ != other.t_; }
+
+   private:
+    Token* t_;
+  };
+
+  bool empty() const { return head_ == nullptr; }
+  Token* back() const { return tail_; }
+  Iterator begin() const { return Iterator(head_); }
+  Iterator end() const { return Iterator(nullptr); }
+
+  void PushBack(Token* t) {
+    TokenLinks& links = t->*kLinks;
+    links.prev = tail_;
+    links.next = nullptr;
+    (tail_ != nullptr ? (tail_->*kLinks).next : head_) = t;
+    tail_ = t;
+  }
+
+  void Erase(Token* t) {
+    TokenLinks& links = t->*kLinks;
+    (links.prev != nullptr ? (links.prev->*kLinks).next : head_) =
+        links.next;
+    (links.next != nullptr ? (links.next->*kLinks).prev : tail_) =
+        links.prev;
+  }
+
+  size_t size() const {  // walks the list: for stats only
+    size_t n = 0;
+    for (Token* t = head_; t != nullptr; t = (t->*kLinks).next) ++n;
+    return n;
+  }
+
+ private:
+  Token* head_ = nullptr;
+  Token* tail_ = nullptr;
+};
+
 struct Token {
   Token* parent = nullptr;
   /// Null for the dummy token and negative-node tokens. `info` keeps the
@@ -122,9 +181,15 @@ struct Token {
   const Wme* wme = nullptr;
   WmeInfo* info = nullptr;
   TokenHolder* holder = nullptr;
-  std::vector<Token*> children;
+  TokenLinks holder_links;  // in holder->tokens; the free list when dead
+  TokenLinks wme_links;     // in info->tokens
+  TokenLinks child_links;   // in parent->children
+  TokenList<&Token::child_links> children;
   /// Only for negative-node tokens: the WMEs currently blocking them.
   std::vector<NegJoinResult*> join_results;
+  /// Only for tokens that reached a production node: the instantiation
+  /// it put in the conflict set, withdrawn when the token leaves.
+  InstPtr inst;
 };
 
 /// Left-input listener: joins, negative nodes, production nodes.
@@ -150,7 +215,7 @@ class TokenHolder {
     return true;
   }
 
-  std::vector<Token*> tokens;
+  TokenList<&Token::holder_links> tokens;
   std::vector<Successor*> successors;
 };
 
@@ -161,15 +226,15 @@ class BetaMemory : public TokenHolder {};
 struct WmeInfo {
   WmePtr wme;
   std::vector<AlphaMemory*> amems;
-  std::vector<Token*> tokens;               // BM tokens whose wme this is
+  TokenList<&Token::wme_links> tokens;      // BM tokens whose wme this is
   std::vector<NegJoinResult*> neg_results;  // results blocking neg tokens
 };
 
-/// Erases `item` from `v`, searching from the back: tokens mostly die in
-/// reverse order of creation.
-template <typename T>
-void EraseFromBack(std::vector<T>* v, const T& item) {
-  auto it = std::find(v->rbegin(), v->rend(), item);
+/// Erases `result` from `v`, searching from the back: join results mostly
+/// die in reverse order of creation.
+inline void EraseFromBack(std::vector<NegJoinResult*>* v,
+                          NegJoinResult* result) {
+  auto it = std::find(v->rbegin(), v->rend(), result);
   DBPS_DCHECK(it != v->rend());
   v->erase(std::next(it).base());
 }
@@ -192,17 +257,21 @@ class Network {
 
   // --- token plumbing (used by the node classes) ---
 
+  /// Takes a dead token from the free list, or allocates one.
   Token* MakeToken(TokenHolder* holder, Token* parent, WmeInfo* info) {
-    Token* t = new Token();
+    Token* t = free_tokens_;
+    if (t != nullptr) {
+      free_tokens_ = t->holder_links.next;
+    } else {
+      t = new Token();
+    }
     t->parent = parent;
     t->holder = holder;
-    if (parent != nullptr) parent->children.push_back(t);
-    holder->tokens.push_back(t);
-    if (info != nullptr) {
-      t->wme = info->wme.get();
-      t->info = info;
-      info->tokens.push_back(t);
-    }
+    if (parent != nullptr) parent->children.PushBack(t);
+    holder->tokens.PushBack(t);
+    t->wme = info != nullptr ? info->wme.get() : nullptr;
+    t->info = info;
+    if (info != nullptr) info->tokens.PushBack(t);
     return t;
   }
 
@@ -226,16 +295,20 @@ class Network {
   }
 
  private:
+  /// Unlinks t (whose subtree is already gone) and puts it on the free
+  /// list; join_results keeps its capacity for the next owner.
   void CleanupToken(Token* t) {
+    DBPS_DCHECK(t->children.empty() && t->inst == nullptr);
     for (NegJoinResult* result : t->join_results) {
       EraseFromBack(&result->blocker->neg_results, result);
       delete result;
     }
     t->join_results.clear();
-    EraseFromBack(&t->holder->tokens, t);
-    if (t->info != nullptr) EraseFromBack(&t->info->tokens, t);
-    if (t->parent != nullptr) EraseFromBack(&t->parent->children, t);
-    delete t;
+    t->holder->tokens.Erase(t);
+    if (t->info != nullptr) t->info->tokens.Erase(t);
+    if (t->parent != nullptr) t->parent->children.Erase(t);
+    t->holder_links.next = free_tokens_;
+    free_tokens_ = t;
   }
 
   AlphaMemory* GetOrCreateAlphaMemory(SymbolId relation,
@@ -244,6 +317,8 @@ class Network {
   RuleSetPtr rules_;
   BetaMemory* dummy_bm_ = nullptr;
   Token* dummy_token_ = nullptr;
+  /// Dead tokens, linked through holder_links.next, reused by MakeToken.
+  Token* free_tokens_ = nullptr;
 
   std::vector<std::unique_ptr<AlphaMemory>> alpha_memories_;
   std::unordered_map<SymbolId, std::vector<AlphaMemory*>> alpha_by_relation_;
@@ -426,29 +501,31 @@ class ProductionNode : public Successor {
       DBPS_DCHECK(holder_token->info != nullptr);
       matched.push_back(holder_token->info->wme);
     }
-    auto inst = std::make_shared<Instantiation>(rule_, std::move(matched));
-    by_token_.emplace(t, inst->key());
-    conflict_set_->Activate(std::move(inst));
+    t->inst = std::make_shared<Instantiation>(rule_, std::move(matched));
+    conflict_set_->Activate(t->inst);
   }
 
   void OnTokenRemoved(Token* t) override {
-    auto it = by_token_.find(t);
-    if (it == by_token_.end()) return;  // token never reached us (blocked)
-    conflict_set_->Deactivate(it->second);
-    by_token_.erase(it);
+    if (t->inst == nullptr) return;  // token never reached us (blocked)
+    conflict_set_->Deactivate(t->inst->key());
+    t->inst.reset();
   }
 
  private:
   RulePtr rule_;
   ConflictSet* conflict_set_;
   std::vector<size_t> positive_levels_;
-  std::unordered_map<Token*, InstKey> by_token_;
 };
 
 Network::~Network() {
   if (dummy_token_ != nullptr) {
     DeleteDescendants(dummy_token_);
     CleanupToken(dummy_token_);
+  }
+  while (free_tokens_ != nullptr) {
+    Token* t = free_tokens_;
+    free_tokens_ = t->holder_links.next;
+    delete t;
   }
 }
 

@@ -18,6 +18,14 @@
 //     first such test. Nodes with no equality test scan the whole memory.
 //     Either way every beta test is evaluated, so the index changes the
 //     cost of a match, never its result.
+//   * Tokens (Doorenbos ch. 2): each token sits on three intrusive
+//     doubly-linked lists — its holder's tokens, its WME's tokens and its
+//     parent's children — so deleting one unlinks it in O(1). Lists keep
+//     creation order and subtrees are deleted from the back, which fixes
+//     the activation order (and with it kFifo/kRandom picks). A dead
+//     token goes on the network's free list for MakeToken to reuse; a
+//     token that reached a production node carries the Instantiation it
+//     put in the conflict set, and withdraws it when it dies.
 //
 // Incrementality: ApplyChange feeds individual WME version removals and
 // additions; tokens are created/deleted along the way. A left activation

@@ -317,10 +317,19 @@ void NetServer::ReadReady(const ConnPtr& conn) {
     BeginClose(conn);
     return;
   }
+  // read() runs with conn->mu dropped; `reading` keeps Finalize from
+  // closing the fd under it.
+  int fd;
+  {
+    std::lock_guard<std::mutex> lock(conn->mu);
+    if (conn->fd < 0) return;  // already finalized
+    conn->reading = true;
+    fd = conn->fd;
+  }
   char buf[65536];
   bool eof = false;
   for (;;) {
-    const ssize_t n = ::read(conn->fd, buf, sizeof(buf));
+    const ssize_t n = ::read(fd, buf, sizeof(buf));
     if (n > 0) {
       loops_[conn->loop]->reads.fetch_add(1, std::memory_order_relaxed);
       bytes_in_.fetch_add(static_cast<uint64_t>(n),
@@ -336,6 +345,11 @@ void NetServer::ReadReady(const ConnPtr& conn) {
     if (errno == EINTR) continue;
     eof = true;  // hard error
     break;
+  }
+  {
+    std::lock_guard<std::mutex> lock(conn->mu);
+    conn->reading = false;
+    if (conn->close_pending) CloseFdLocked(conn);
   }
   DrainParsed(conn);
   if (eof) BeginClose(conn);
@@ -671,16 +685,25 @@ void NetServer::BeginClose(const ConnPtr& conn) {
   if (finalize_now) Finalize(conn);
 }
 
+void NetServer::CloseFdLocked(const ConnPtr& conn) {
+  ::epoll_ctl(loops_[conn->loop]->epoll_fd, EPOLL_CTL_DEL, conn->fd,
+              nullptr);
+  ::close(conn->fd);
+  conn->fd = -1;
+  conn->close_pending = false;
+  connections_closed_.fetch_add(1, std::memory_order_relaxed);
+}
+
 void NetServer::Finalize(const ConnPtr& conn) {
   SessionPtr session;
   {
     std::lock_guard<std::mutex> lock(conn->mu);
     if (conn->fd >= 0) {
-      ::epoll_ctl(loops_[conn->loop]->epoll_fd, EPOLL_CTL_DEL, conn->fd,
-                  nullptr);
-      ::close(conn->fd);
-      conn->fd = -1;
-      connections_closed_.fetch_add(1, std::memory_order_relaxed);
+      if (conn->reading) {
+        conn->close_pending = true;  // the reader closes it when done
+      } else {
+        CloseFdLocked(conn);
+      }
     }
     session = std::move(conn->session);
     conn->session.reset();

@@ -161,6 +161,12 @@ class NetServer {
     /// BeginClose runs, and the close must still be driven to Finalize.
     bool close_begun = false;
     bool goodbye = false;    ///< close gracefully after flushing
+    /// The event loop is in read() on `fd` with `mu` dropped. Finalize
+    /// then leaves the fd open and sets `close_pending`; the reader
+    /// closes it when it clears `reading`, so no read ever sees a closed
+    /// (or reused) descriptor.
+    bool reading = false;
+    bool close_pending = false;
     std::string outbuf;
     size_t out_off = 0;
     bool want_write = false;  ///< EPOLLOUT armed
@@ -201,6 +207,8 @@ class NetServer {
   /// Marks the connection dead and unregisters it; the session closes
   /// when no dispatcher owns it (immediately, or at pass end).
   void BeginClose(const ConnPtr& conn);
+  /// Deregisters and closes conn->fd (conn->mu held, fd open).
+  void CloseFdLocked(const ConnPtr& conn);
   /// Releases fd + session + table entry. Called once, by whichever side
   /// (loop or dispatcher) turned off `scheduled` last.
   void Finalize(const ConnPtr& conn);

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <future>
+#include <mutex>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "lock/lock_manager.h"
 #include "util/failpoint.h"
@@ -15,6 +20,18 @@ LockObjectId Tuple(const char* relation, WmeId id) {
 }
 LockObjectId Relation(const char* relation) {
   return LockObjectId{Sym(relation), kRelationLevel};
+}
+
+/// Returns once `n` requests have blocked in `lm`: a waiter's block is
+/// counted in the same critical section that records its waits-for
+/// edges, so after this a conflicting request sees the wait.
+void AwaitBlocked(const LockManager& lm, uint64_t n) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (lm.GetStats().blocked < n) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::yield();
+  }
 }
 
 LockManager::Options FastOptions(LockProtocol protocol) {
@@ -182,6 +199,41 @@ TEST(LockManager, RelationWaVictimizesTupleRcHolders) {
   EXPECT_EQ(victims[0], reader);
 }
 
+TEST(LockManager, RcVictimSweepSpansRelations) {
+  // Readers hold tuple-level Rc in relation A, tuple- and relation-level
+  // Rc in relation B; one reader (both_reader) holds in both, and the
+  // sweep must still name it once.
+  LockManager lm(FastOptions(LockProtocol::kRcRaWa));
+  const char* rel_a = "xrel-a";
+  const char* rel_b = "xrel-b";
+  TxnId reader_a = lm.Begin(), reader_b = lm.Begin(),
+        rel_reader_b = lm.Begin(), both_reader = lm.Begin(),
+        bystander = lm.Begin();
+  ASSERT_TRUE(lm.Acquire(reader_a, Tuple(rel_a, 1), LockMode::kRc).ok());
+  ASSERT_TRUE(lm.Acquire(reader_b, Tuple(rel_b, 2), LockMode::kRc).ok());
+  ASSERT_TRUE(
+      lm.Acquire(rel_reader_b, Relation(rel_b), LockMode::kRc).ok());
+  ASSERT_TRUE(lm.Acquire(both_reader, Tuple(rel_a, 1), LockMode::kRc).ok());
+  ASSERT_TRUE(lm.Acquire(both_reader, Tuple(rel_b, 2), LockMode::kRc).ok());
+  // Unrelated tuple: must NOT be victimized.
+  ASSERT_TRUE(lm.Acquire(bystander, Tuple(rel_a, 99), LockMode::kRc).ok());
+
+  // The committer's Wa set spans both relations.
+  TxnId writer = lm.Begin();
+  ASSERT_TRUE(lm.Acquire(writer, Tuple(rel_a, 1), LockMode::kWa).ok());
+  ASSERT_TRUE(lm.Acquire(writer, Tuple(rel_b, 2), LockMode::kWa).ok());
+
+  std::vector<TxnId> victims = lm.CollectRcVictims(writer);
+  std::sort(victims.begin(), victims.end());
+  EXPECT_EQ(victims, (std::vector<TxnId>{reader_a, reader_b, rel_reader_b,
+                                         both_reader}));
+  for (TxnId t :
+       {reader_a, reader_b, rel_reader_b, both_reader, bystander, writer}) {
+    lm.Release(t);
+  }
+  EXPECT_EQ(lm.live_transactions(), 0u);
+}
+
 TEST(LockManager, TupleRcInOtherRelationIsUnaffected) {
   LockManager lm(FastOptions(LockProtocol::kRcRaWa));
   TxnId reader = lm.Begin(), writer = lm.Begin();
@@ -241,12 +293,38 @@ TEST(LockManager, DeadlockDetected) {
   auto t1_wait = std::async(std::launch::async, [&] {
     return lm.Acquire(t1, Tuple("r", 2), LockMode::kWa);
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  AwaitBlocked(lm, 1);
   Status st = lm.Acquire(t2, Tuple("r", 1), LockMode::kWa);
   EXPECT_TRUE(st.IsDeadlock()) << st;
   lm.Release(t2);
   EXPECT_TRUE(t1_wait.get().ok());
   EXPECT_GE(lm.GetStats().deadlocks, 1u);
+}
+
+// This case, and the wound-wait and no-wait ones in deadlock_policy_test,
+// keep the suite name they had when the lock table was striped by
+// relation hash, so their history stays continuous: a cycle whose two
+// edges sit on objects of two relations must be detected.
+TEST(StripedLock, CrossShardDeadlockDetected) {
+  LockManager lm(FastOptions(LockProtocol::kTwoPhase));
+  TxnId t1 = lm.Begin(), t2 = lm.Begin();
+  ASSERT_TRUE(lm.Acquire(t1, Tuple("xrel-a", 1), LockMode::kWa).ok());
+  ASSERT_TRUE(lm.Acquire(t2, Tuple("xrel-b", 1), LockMode::kWa).ok());
+
+  // t1 blocks on t2's object (edge in relation B)...
+  auto t1_wait = std::async(std::launch::async, [&] {
+    return lm.Acquire(t1, Tuple("xrel-b", 1), LockMode::kWa);
+  });
+  AwaitBlocked(lm, 1);
+  // ...then t2 requests t1's object (edge in relation A), closing the
+  // cycle; t2 is the victim and its release unblocks t1.
+  Status st = lm.Acquire(t2, Tuple("xrel-a", 1), LockMode::kWa);
+  EXPECT_TRUE(st.IsDeadlock()) << st;
+  lm.Release(t2);
+  EXPECT_TRUE(t1_wait.get().ok());
+  EXPECT_GE(lm.GetStats().deadlocks, 1u);
+  lm.Release(t1);
+  EXPECT_EQ(lm.live_transactions(), 0u);
 }
 
 TEST(LockManager, UpgradeDeadlockDetected) {
@@ -319,10 +397,101 @@ TEST(LockManager, TraceEventsEmitted) {
   ASSERT_TRUE(lm.Acquire(t, Tuple("r", 1), LockMode::kRc).ok());
   lm.MarkAborted(t);
   lm.Release(t);
-  ASSERT_EQ(kinds.size(), 3u);
-  EXPECT_EQ(kinds[0], LockEvent::Kind::kGrant);
-  EXPECT_EQ(kinds[1], LockEvent::Kind::kAbortMark);
-  EXPECT_EQ(kinds[2], LockEvent::Kind::kRelease);
+  // A writer's Wa over a reader's Rc, and the victim sweep it settles.
+  TxnId reader = lm.Begin(), writer = lm.Begin();
+  ASSERT_TRUE(lm.Acquire(reader, Tuple("r", 1), LockMode::kRc).ok());
+  ASSERT_TRUE(lm.Acquire(writer, Tuple("r", 1), LockMode::kWa).ok());
+  for (TxnId victim : lm.CollectRcVictims(writer)) lm.MarkAborted(victim);
+  lm.Release(reader);
+  lm.Release(writer);
+  using Kind = LockEvent::Kind;
+  EXPECT_EQ(kinds, (std::vector<Kind>{Kind::kGrant, Kind::kAbortMark,
+                                      Kind::kRelease, Kind::kGrant,
+                                      Kind::kGrant, Kind::kAbortMark,
+                                      Kind::kRelease, Kind::kRelease}));
+}
+
+// Events are buffered while the manager's mutex is held and emitted only
+// after it is dropped, so a sink may call straight back into the manager;
+// a sink run under the mutex would deadlock here. The suite name is the
+// one the case had when the lock table was striped by relation hash.
+TEST(StripedLock, TraceSinkMayReenterTheManager) {
+  LockManager* manager = nullptr;
+  std::mutex sink_mu;
+  std::vector<LockEvent> events;
+
+  LockManager::Options options = FastOptions(LockProtocol::kRcRaWa);
+  options.trace = [&](const LockEvent& event) {
+    // Reentrancy: query the manager from inside the sink.
+    if (manager != nullptr) {
+      (void)manager->IsAborted(event.txn);
+      (void)manager->Holds(event.txn, event.object, event.mode);
+      (void)manager->GetStats();
+    }
+    std::lock_guard<std::mutex> lock(sink_mu);
+    events.push_back(event);
+  };
+  LockManager lm(options);
+  manager = &lm;
+
+  TxnId t1 = lm.Begin(), t2 = lm.Begin();
+  ASSERT_TRUE(lm.Acquire(t1, Tuple("trace-rel", 1), LockMode::kRc).ok());
+  ASSERT_TRUE(lm.Acquire(t2, Tuple("trace-rel", 1), LockMode::kWa).ok());
+  for (TxnId victim : lm.CollectRcVictims(t2)) lm.MarkAborted(victim);
+  lm.Release(t1);
+  lm.Release(t2);
+
+  std::lock_guard<std::mutex> lock(sink_mu);
+  auto count = [&](LockEvent::Kind kind) {
+    return std::count_if(events.begin(), events.end(),
+                         [&](const LockEvent& e) { return e.kind == kind; });
+  };
+  EXPECT_EQ(count(LockEvent::Kind::kGrant), 2);
+  EXPECT_EQ(count(LockEvent::Kind::kAbortMark), 1);
+  EXPECT_EQ(count(LockEvent::Kind::kRelease), 2);
+}
+
+/// Hammers one manager from several threads with a sink that re-enters
+/// it: under TSan this shows that no lock is held at emission.
+TEST(LockManager, ConcurrentTrafficWithReentrantSink) {
+  LockManager* manager = nullptr;
+  std::atomic<uint64_t> observed{0};
+
+  LockManager::Options options = FastOptions(LockProtocol::kRcRaWa);
+  options.deadlock_policy = DeadlockPolicy::kNoWait;
+  options.trace = [&](const LockEvent& event) {
+    if (manager != nullptr) (void)manager->IsAborted(event.txn);
+    observed.fetch_add(1, std::memory_order_relaxed);
+  };
+  LockManager lm(options);
+  manager = &lm;
+
+  constexpr int kThreads = 4;
+  constexpr int kOpsPerThread = 50;
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      for (int op = 0; op < kOpsPerThread; ++op) {
+        TxnId txn = lm.Begin();
+        SymbolId rel = Sym("hammer-" + std::to_string(op % 7));
+        (void)lm.Acquire(txn, {rel, static_cast<WmeId>(op % 5)},
+                         LockMode::kRc);
+        if ((op + i) % 3 == 0) {
+          if (lm.Acquire(txn, {rel, static_cast<WmeId>(op % 5)},
+                         LockMode::kWa)
+                  .ok()) {
+            for (TxnId victim : lm.CollectRcVictims(txn)) {
+              lm.MarkAborted(victim);
+            }
+          }
+        }
+        lm.Release(txn);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(lm.live_transactions(), 0u);
+  EXPECT_GT(observed.load(), 0u);
 }
 
 TEST(LockObjectId, ToStringForms) {

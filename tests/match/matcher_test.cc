@@ -9,6 +9,7 @@
 #include <limits>
 #include <set>
 
+#include "engine/single_thread_engine.h"
 #include "lang/compiler.h"
 #include "manners_program.h"
 #include "match/alpha_index.h"
@@ -558,6 +559,201 @@ TEST(Rete, MannersJoinsProbeIndexes) {
     EXPECT_EQ(limit.GetStats().join_nodes, 2u) << name;
     EXPECT_EQ(limit.GetStats().indexed_nodes, 0u) << name;
   }
+}
+
+
+TEST(Rete, TokenCountReturnsToBaseAcrossFirstCeModifies) {
+  // Manners mid-table: h1 holds seat 1 of table 1 and the phase asks for
+  // seat 2. Each modify of `phase` (the first CE of every rule) removes
+  // the old version, tearing down every token built on it, and adds the
+  // new one, rebuilding them; a round trip back to the same values must
+  // leave exactly as many live tokens and instantiations as before.
+  WorkingMemory wm;
+  auto rules = LoadProgram(bench::MannersProgram(16, 1), &wm).ValueOrDie();
+  WmePtr host;
+  for (const WmePtr& guest : wm.Scan(Sym("guest"))) {
+    if (guest->value(0) == Value::Symbol("h1")) host = guest;
+  }
+  ASSERT_NE(host, nullptr);
+  Delta seat;
+  seat.Create(Sym("seated"), {Value::Int(1), Value::Int(1), host->value(0),
+                              host->value(2), host->value(3)});
+  seat.Create(Sym("taken"), {host->value(0)});
+  ASSERT_TRUE(wm.Apply(seat).ok());
+  const WmeId phase = wm.Scan(Sym("phase"))[0]->id();
+  Delta to_seat;
+  to_seat.Modify(phase, {{0, Value::Symbol("seat")}, {2, Value::Int(2)}});
+  ASSERT_TRUE(wm.Apply(to_seat).ok());
+
+  ReteMatcher matcher;
+  ASSERT_TRUE(matcher.Initialize(rules, wm).ok());
+  const size_t base_tokens = matcher.GetStats().tokens;
+  const size_t base_active = matcher.conflict_set().size();
+  ASSERT_GT(base_active, 10u);  // seat 2 has many candidate guests
+
+  auto modify = [&](std::vector<std::pair<size_t, Value>> updates) {
+    Delta delta;
+    delta.Modify(phase, std::move(updates));
+    auto change = wm.Apply(delta);
+    ASSERT_TRUE(change.ok()) << change.status();
+    matcher.ApplyChange(change.ValueOrDie());
+  };
+  for (int cycle = 0; cycle < 6; ++cycle) {
+    // Same values, new version: a full remove/add of the first CE.
+    modify({{2, Value::Int(2)}});
+    EXPECT_EQ(matcher.GetStats().tokens, base_tokens) << cycle;
+    EXPECT_EQ(matcher.conflict_set().size(), base_active) << cycle;
+    // Another seat, then another phase: other subtrees come and go.
+    modify({{2, Value::Int(3)}});
+    modify({{0, Value::Symbol("start")}, {2, Value::Int(1)}});
+    EXPECT_NE(matcher.GetStats().tokens, base_tokens) << cycle;
+    modify({{0, Value::Symbol("seat")}, {2, Value::Int(2)}});
+    EXPECT_EQ(matcher.GetStats().tokens, base_tokens) << cycle;
+    EXPECT_EQ(matcher.conflict_set().size(), base_active) << cycle;
+  }
+}
+
+/// The keys of the instantiations SingleThreadEngine fires on manners with
+/// Rete under `strategy`, one per line.
+std::string MannersFiringOrder(ConflictResolution strategy) {
+  WorkingMemory wm;
+  auto rules =
+      LoadProgram(bench::MannersProgram(32, 42), &wm).ValueOrDie();
+  EngineOptions options;
+  options.strategy = strategy;
+  options.matcher = MatcherKind::kRete;
+  options.seed = 7;
+  options.max_firings = 200;
+  SingleThreadEngine engine(&wm, rules, options);
+  auto result = engine.Run();
+  EXPECT_TRUE(result.ok()) << result.status();
+  std::string out;
+  for (const FiringRecord& firing : engine.log()) {
+    out += firing.key.ToString() + "\n";
+  }
+  return out;
+}
+
+// Recorded from the Rete matcher whose tokens sat in vectors; the
+// intrusive token lists must reproduce it byte for byte.
+constexpr char kMannersFifoOrder[] = R"(seat-first[1@1,5@5,4@4]
+seat-next[1@145,143@143,4@4,56@56]
+seat-next[1@147,145@146,56@56,64@64]
+seat-next[1@150,147@149,64@64,50@50]
+seat-next[1@153,149@152,50@50,58@58]
+seat-next[1@156,151@155,58@58,47@47]
+seat-next[1@159,153@158,48@48,139@139]
+seat-next[1@162,155@161,140@140,141@141]
+table-full[1@165,2@2]
+seat-first[1@167,8@8,7@7]
+seat-next[1@170,159@168,7@7,60@60]
+seat-next[1@172,161@171,60@60,137@137]
+seat-next[1@175,163@174,138@138,52@52]
+seat-next[1@178,165@177,52@52,40@40]
+seat-next[1@181,167@180,40@40,44@44]
+seat-next[1@184,169@183,44@44,15@15]
+seat-next[1@187,171@186,15@15,42@42]
+table-full[1@190,2@2]
+seat-first[1@192,11@11,10@10]
+seat-next[1@195,175@193,10@10,21@21]
+seat-next[1@197,177@196,21@21,135@135]
+seat-next[1@200,179@199,136@136,134@134]
+seat-next[1@203,181@202,134@134,46@46]
+seat-next[1@206,183@205,46@46,61@61]
+seat-next[1@209,185@208,61@61,18@18]
+seat-next[1@212,187@211,18@18,54@54]
+table-full[1@215,2@2]
+seat-first[1@217,14@14,13@13]
+seat-next[1@220,191@218,13@13,37@37]
+seat-next[1@222,193@221,38@38,36@36]
+seat-next[1@225,195@224,36@36,28@28]
+seat-next[1@228,197@227,27@27,19@19]
+seat-next[1@231,199@230,19@19,24@24]
+seat-next[1@234,201@233,23@23,34@34]
+seat-next[1@237,203@236,33@33,68@68]
+table-full[1@240,2@2]
+all-seated[1@242,2@2]
+)";
+
+constexpr char kMannersRandomOrder[] = R"(seat-first[1@1,5@5,3@3]
+seat-next[1@145,143@143,4@4,98@98]
+seat-next[1@147,145@146,98@98,69@69]
+seat-next[1@150,147@149,70@70,94@94]
+seat-next[1@153,149@152,93@93,41@41]
+seat-next[1@156,151@155,42@42,25@25]
+seat-next[1@159,153@158,25@25,37@37]
+seat-next[1@162,155@161,37@37,19@19]
+seat-next[1@165,157@164,19@19,52@52]
+seat-next[1@168,159@167,52@52,15@15]
+seat-next[1@171,161@170,15@15,95@95]
+seat-next[1@174,163@173,96@96,46@46]
+seat-next[1@177,165@176,45@45,128@128]
+seat-next[1@180,167@179,128@128,71@71]
+seat-next[1@183,169@182,72@72,123@123]
+seat-next[1@186,171@185,124@124,101@101]
+seat-next[1@189,173@188,102@102,122@122]
+seat-next[1@192,175@191,121@121,35@35]
+seat-next[1@195,177@194,36@36,58@58]
+seat-next[1@198,179@197,58@58,56@56]
+seat-next[1@201,181@200,55@55,134@134]
+seat-next[1@204,183@203,133@133,30@30]
+seat-next[1@207,185@206,29@29,111@111]
+seat-next[1@210,187@209,111@111,132@132]
+seat-next[1@213,189@212,131@131,22@22]
+seat-next[1@216,191@215,22@22,129@129]
+table-full[1@219,2@2]
+seat-first[1@221,8@8,7@7]
+seat-next[1@224,195@222,6@6,67@67]
+seat-next[1@226,197@225,67@67,100@100]
+seat-next[1@229,199@228,100@100,74@74]
+seat-next[1@232,201@231,73@73,39@39]
+seat-next[1@235,203@234,39@39,84@84]
+seat-next[1@238,205@237,84@84,75@75]
+seat-next[1@241,207@240,75@75,87@87]
+seat-next[1@244,209@243,87@87,137@137]
+seat-next[1@247,211@246,138@138,140@140]
+seat-next[1@250,213@249,140@140,81@81]
+seat-next[1@253,215@252,81@81,110@110]
+seat-next[1@256,217@255,110@110,125@125]
+seat-next[1@259,219@258,126@126,119@119]
+seat-next[1@262,221@261,120@120,113@113]
+table-full[1@265,2@2]
+seat-first[1@267,11@11,10@10]
+seat-next[1@270,225@268,9@9,43@43]
+seat-next[1@272,227@271,43@43,77@77]
+seat-next[1@275,229@274,78@78,60@60]
+seat-next[1@278,231@277,60@60,108@108]
+seat-next[1@281,233@280,108@108,85@85]
+seat-next[1@284,235@283,85@85,106@106]
+seat-next[1@287,237@286,105@105,115@115]
+seat-next[1@290,239@289,116@116,48@48]
+seat-next[1@293,241@292,48@48,117@117]
+seat-next[1@296,243@295,117@117,34@34]
+seat-next[1@299,245@298,34@34,61@61]
+seat-next[1@302,247@301,62@62,49@49]
+seat-next[1@305,249@304,50@50,89@89]
+seat-next[1@308,251@307,90@90,31@31]
+seat-next[1@311,253@310,32@32,28@28]
+seat-next[1@314,255@313,27@27,66@66]
+seat-next[1@317,257@316,65@65,53@53]
+seat-next[1@320,259@319,54@54,18@18]
+seat-next[1@323,261@322,17@17,92@92]
+seat-next[1@326,263@325,91@91,141@141]
+table-full[1@329,2@2]
+seat-first[1@331,14@14,13@13]
+seat-next[1@334,267@332,12@12,80@80]
+seat-next[1@336,269@335,79@79,136@136]
+seat-next[1@339,271@338,136@136,23@23]
+)";
+
+TEST(MatcherTest, ReteFiringOrderIsPinned) {
+  // FIFO and random picks depend on the order in which Rete activates
+  // instantiations (their activation_seq, and the conflict set's
+  // insertion history), so any change to token bookkeeping that reorders
+  // activations shows up here as a different firing sequence.
+  EXPECT_EQ(MannersFiringOrder(ConflictResolution::kFifo), kMannersFifoOrder);
+  EXPECT_EQ(MannersFiringOrder(ConflictResolution::kRandom),
+            kMannersRandomOrder);
 }
 
 }  // namespace

@@ -36,7 +36,9 @@
 #   DBPS_TIER=matcher tools/check.sh    # matcher-equivalence tier: the
 #                                       # serial-matcher suites (Rete =
 #                                       # TREAT = naive property tests,
-#                                       # Rete stress/structure, the alpha-
+#                                       # Rete stress/structure, token
+#                                       # accounting, the pinned FIFO/
+#                                       # random firing order, the alpha-
 #                                       # memory index), the partitioned-
 #                                       # matcher suites (inline partitions,
 #                                       # value-hash splitting, concurrent-
@@ -229,12 +231,13 @@ EOF
 elif [ "$TIER" = "matcher" ]; then
   # Matcher-equivalence tier: the serial matchers' suites (3-way
   # property tests over random programs, Rete stress and structure, the
-  # alpha-memory hash index), partitioned-matcher unit + stress suites
-  # and the engine-level differential suite (serial vs partitioned with
-  # skew adaptation armed, byte-identical journals). Seed-shifted via
-  # DBPS_CHAOS_SEED like the other soakable tiers.
+  # token accounting test, the firing order pinned under kFifo and
+  # kRandom, the alpha-memory hash index), partitioned-matcher unit +
+  # stress suites and the engine-level differential suite (serial vs
+  # partitioned with skew adaptation armed, byte-identical journals).
+  # Seed-shifted via DBPS_CHAOS_SEED like the other soakable tiers.
   ctest --test-dir "$BUILD_DIR" -j 4 --output-on-failure \
-    -R 'ReteVsNaive|ReteStress|MatcherTest|Rete\.|AlphaIndex|Partitioned|MatcherDifferential|SkewAdaptive'
+    -R 'ReteVsNaive|ReteStress|MatcherTest|ReteFiringOrderIsPinned|Rete\.|AlphaIndex|Partitioned|MatcherDifferential|SkewAdaptive'
   echo "matcher tier passed"
 elif [ "$TIER" = "audit" ]; then
   # Consistency-audit tier: the auditor's own suites (unit, mutation
