@@ -25,9 +25,10 @@
 namespace dbps {
 
 /// \brief Engine lifecycle events, observable via EngineOptions::observer.
-/// Callbacks fire on engine threads; for parallel engines, kCommit events
-/// are delivered under the commit lock (in commit order), the others
-/// concurrently. Keep observers fast and do not call back into the engine.
+/// Callbacks fire on engine threads; for parallel engines, kCommit and
+/// kBatchEnd events are delivered under the commit lock (in commit
+/// order), kAbort and kStale concurrently. Keep observers fast and do not
+/// call back into the engine.
 struct EngineEvent {
   enum class Kind : uint8_t {
     kCommit,    ///< a firing committed
@@ -36,10 +37,18 @@ struct EngineEvent {
     /// The commit batch that contained the preceding kCommit events is
     /// complete (key/delta null). Parallel engines emit one per executed
     /// sequencer batch; serial engines after every commit (batches of
-    /// one). Durability sinks (JournalFeed's group-commit mode) fsync
-    /// here — once per batch instead of once per commit — and must do so
-    /// before returning, because commit acks are released afterwards.
+    /// one). The batch's commits are released (and their locks dropped)
+    /// as soon as this returns, so a sink should only hand work off here:
+    /// JournalFeed's group-commit mode queues the batch for its flusher
+    /// thread, and client acks wait for durability on their own
+    /// (JournalFeed::WaitDurable).
     kBatchEnd,
+    /// The run is over (key/delta null; seq is the final sequence
+    /// high-water). Every engine emits it once, on the thread that called
+    /// Run, after every other event and just before Run returns. A sink
+    /// that works asynchronously finishes here: JournalFeed blocks until
+    /// every commit it was handed is durable or the journal has failed.
+    kRunEnd,
   };
   Kind kind;
   const InstKey* key;  ///< the firing's identity (valid during the call)

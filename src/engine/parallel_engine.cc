@@ -221,9 +221,9 @@ void ParallelEngine::ExecuteBatch(const std::vector<PendingCommit*>& batch) {
     }
     member->committed = true;
   }
-  // Batch boundary: group-commit sinks amortize one fsync over every
-  // kCommit above, and must be durable before we return — FinishBatch
-  // releases the member commits (and their client acks) afterwards.
+  // Batch boundary: group-commit sinks hand every kCommit above to their
+  // flusher here. FinishBatch releases the member commits right after;
+  // client acks wait for durability on their own (Session::Commit).
   if (emitted) {
     options_.base.observer(EngineEvent{EngineEvent::Kind::kBatchEnd, nullptr,
                                        nullptr, commit_seq_});
@@ -299,6 +299,14 @@ StatusOr<RunResult> ParallelEngine::Run() {
   // only stable once the pipeline is empty).
   std::unique_lock<std::mutex> lock(mu_);
   cv_.wait(lock, [this] { return ext_inflight_ == 0; });
+  if (options_.base.observer) {
+    // done_ is set, so no commit can start any more; a durability sink
+    // may block here until the run's last group is durable.
+    lock.unlock();
+    options_.base.observer(EngineEvent{EngineEvent::Kind::kRunEnd, nullptr,
+                                       nullptr, commit_seq_});
+    lock.lock();
+  }
   stats_.elapsed_seconds = stopwatch.ElapsedSeconds();
   stats_.peak_parallel_executions = peak_executing_.load();
   stats_.backoff_micros = backoff_micros_.load();

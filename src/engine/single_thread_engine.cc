@@ -97,11 +97,14 @@ StatusOr<bool> SingleThreadEngine::Step() {
 StatusOr<RunResult> SingleThreadEngine::Run() {
   if (!initialized_) DBPS_RETURN_NOT_OK(Init());
   Stopwatch stopwatch;
-  for (;;) {
-    DBPS_ASSIGN_OR_RETURN(bool fired, Step());
-    if (!fired) break;
-  }
+  StatusOr<bool> fired = true;
+  while (fired.ok() && fired.ValueOrDie()) fired = Step();
   stats_.elapsed_seconds = stopwatch.ElapsedSeconds();
+  if (options_.observer) {
+    options_.observer(EngineEvent{EngineEvent::Kind::kRunEnd, nullptr,
+                                  nullptr, stats_.firings});
+  }
+  DBPS_RETURN_NOT_OK(fired.status());
   return RunResult{stats_, log_};
 }
 

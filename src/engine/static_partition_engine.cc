@@ -31,8 +31,10 @@ StatusOr<RunResult> StaticPartitionEngine::Run() {
   std::vector<FiringRecord> log;
   Stopwatch stopwatch;
   bool halted = false;
+  Status failure;
 
-  while (!halted && stats.firings < options_.base.max_firings) {
+  while (!halted && failure.ok() &&
+         stats.firings < options_.base.max_firings) {
     // -- match/select: rank the conflict set in strategy order. --
     std::vector<InstPtr> candidates =
         matcher->conflict_set().SelectableSnapshot();
@@ -99,7 +101,10 @@ StatusOr<RunResult> StaticPartitionEngine::Run() {
       }
       const Delta& delta = outcome.delta.ValueOrDie();
       auto change_or = wm_->Apply(delta);
-      if (!change_or.ok()) return change_or.status();
+      if (!change_or.ok()) {
+        failure = change_or.status();
+        break;
+      }
       const WmChange& change = change_or.ValueOrDie();
       matcher->ApplyChange(change);
       TxnAudit audit;
@@ -138,6 +143,11 @@ StatusOr<RunResult> StaticPartitionEngine::Run() {
     stats.hit_max_firings = true;
   }
   stats.elapsed_seconds = stopwatch.ElapsedSeconds();
+  if (options_.base.observer) {
+    options_.base.observer(EngineEvent{EngineEvent::Kind::kRunEnd, nullptr,
+                                       nullptr, stats.firings});
+  }
+  DBPS_RETURN_NOT_OK(failure);
   return RunResult{stats, std::move(log)};
 }
 

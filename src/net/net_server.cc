@@ -202,9 +202,6 @@ NetStats NetServer::GetStats() const {
   out.peak_connections = peak_connections_.load(std::memory_order_relaxed);
   out.pipeline_peak = pipeline_peak_.load(std::memory_order_relaxed);
   out.open_connections = open_connections();
-  if (JournalFeed* feed = manager_->options().durable_feed) {
-    out.journal_deadline_flushes = feed->durability().deadline_flushes;
-  }
   for (const auto& loop : loops_) {
     NetLoopStats ls;
     ls.wakeups = loop->wakeups.load(std::memory_order_relaxed);

@@ -109,10 +109,6 @@ struct NetStats {
   uint64_t injected_conn_drops = 0;
   size_t open_connections = 0;
   size_t peak_connections = 0;
-  /// Journal groups fsynced by the adaptive flush deadline instead of a
-  /// batch boundary (JournalFeed flush_deadline; 0 when no durable feed
-  /// is bound or the deadline is disabled).
-  uint64_t journal_deadline_flushes = 0;
   /// Most request frames ever waiting on one connection — achieved
   /// pipelining depth.
   size_t pipeline_peak = 0;

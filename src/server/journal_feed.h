@@ -17,29 +17,43 @@
 // [payload]) and written to the log file (or an in-memory simulated
 // device when no path is given), then made durable with an fsync; a
 // commit is acknowledged to its client (Session::Commit returns) only
-// once its record is durable. The in-memory feed (LinesFrom/TextFrom)
-// stays plain text — the frame exists only on disk, where recovery
-// (server/recovery.h) needs checksums and sequence numbers to tell a
-// crash-torn tail from valid history. With group_commit=true the fsync
-// is amortized over the commit sequencer's already-batched ticket
-// groups: records accumulate across one engine commit batch and the
-// kBatchEnd boundary event issues ONE fsync for all of them, then every
-// member commit is releasable at once — the journal payload bytes and
-// order are identical to per-commit fsync mode, only the fsync count
-// drops (by roughly the mean commit batch size). A failed fsync aborts
-// the whole group's acknowledgement: none of the batch's commits becomes
-// durable, WaitDurable reports the failure for every member, and the
-// feed stays failed (a write-ahead log with a hole must not ack anything
-// later, either).
+// once WaitDurable says its record is durable. The in-memory feed
+// (LinesFrom/TextFrom) stays plain text — the frame exists only on disk,
+// where recovery (server/recovery.h) needs checksums and sequence numbers
+// to tell a crash-torn tail from valid history.
+//
+// Per-commit mode (group_commit=false) writes and fsyncs each record
+// synchronously on the engine's commit stage. Group-commit mode pipelines
+// the flush (Aether's flush pipelining): records accumulate across one
+// engine commit batch, and the kBatchEnd boundary only hands them, in log
+// order, to one flusher thread and returns, so the sequencer's next batch
+// never waits for the disk. The flusher writes and fsyncs everything
+// handed over so far as one group, with mu_ dropped, and then advances
+// durable_seq(). Groups therefore grow with fsync latency; the journal
+// payload bytes and order are identical in both modes. Both modes go
+// through one write routine, with the same failpoint sites. A failed
+// fsync fails the whole group: none of its commits becomes durable,
+// WaitDurable reports the failure for every member, and the feed stays
+// failed (a write-ahead log with a hole must not ack anything later,
+// either). The kRunEnd event blocks until everything handed over is
+// durable or the feed has failed, and the destructor drains the same way
+// before it joins the flusher.
+//
+// Engine locks are released before a commit is durable. A client
+// transaction that read what an earlier commit wrote therefore waits, at
+// its own commit, until every commit before it is durable, even when it
+// wrote nothing (Session::Commit).
 //
 // Checkpoints: EnableCheckpoints() lets the feed write snapshot
 // checkpoint records (printer.h CheckpointToSource) into the same log.
-// A checkpoint is only captured at a kBatchEnd boundary — the one point
-// where the working memory is exactly the replay of every record already
-// in the log (the engine's head thread has applied all earlier commits
-// and released none of the next batch) — so the checkpoint's fence seq
-// is precise by construction. Request one explicitly (RequestCheckpoint,
-// the admin verb) or automatically every checkpoint_every records.
+// A checkpoint is only rendered at a kBatchEnd boundary, on the engine
+// thread — the one point where the working memory is exactly the replay
+// of every record already handed over (the engine's head thread has
+// applied all earlier commits and released none of the next batch) — so
+// the checkpoint's fence seq is precise by construction. The rendered
+// record joins the flusher's queue behind that batch's deltas and ahead
+// of the next batch's. Request one explicitly (RequestCheckpoint, the
+// admin verb) or automatically every checkpoint_every records.
 
 #ifndef DBPS_SERVER_JOURNAL_FEED_H_
 #define DBPS_SERVER_JOURNAL_FEED_H_
@@ -83,9 +97,10 @@ struct DurabilityOptions {
   /// disk I/O (benches, loopback smoke).
   std::string path;
   JournalOpenMode open_mode = JournalOpenMode::kAppend;
-  /// Fsync once per engine commit batch (at kBatchEnd) instead of once
-  /// per commit. Requires the observer to receive kBatchEnd events (all
-  /// engines emit them).
+  /// Hand each engine commit batch (at kBatchEnd) to the flusher thread,
+  /// which fsyncs everything handed over so far as one group, instead of
+  /// fsyncing every commit on the commit stage. Requires the observer to
+  /// receive kBatchEnd and kRunEnd events (all engines emit them).
   bool group_commit = false;
   /// Added to every (real or simulated) fsync — models device latency so
   /// group-commit amortization is measurable on fast filesystems.
@@ -99,12 +114,6 @@ struct DurabilityOptions {
   /// records accumulated since the last one (0 = only on request).
   /// Requires EnableCheckpoints.
   size_t checkpoint_every = 0;
-  /// Adaptive group-commit flush (group_commit only): when the OLDEST
-  /// staged record has waited this long without a kBatchEnd fsync, a
-  /// background flusher thread syncs the group early, so a stalled batch
-  /// (slow firing, idle engine) cannot hold earlier commits' durability
-  /// hostage indefinitely. 0 disables (flush only at batch boundaries).
-  std::chrono::milliseconds flush_deadline{0};
 };
 
 /// \brief Durability counters (all zero until EnableDurability).
@@ -121,9 +130,11 @@ struct DurabilityStats {
   /// Simulated crashes injected by the server.journal.crash_* failpoints
   /// (the device "died" mid-group; the feed is failed thereafter).
   uint64_t injected_crashes = 0;
-  /// Groups fsynced by the adaptive flusher because the oldest staged
-  /// record outwaited flush_deadline (group commit stalled mid-batch).
-  uint64_t deadline_flushes = 0;
+  /// Time spent writing and fsyncing the groups that became durable
+  /// (including simulated_fsync_cost and injected fsync delays): the
+  /// total and the longest group. Mean per fsync = sync_ns / fsyncs.
+  uint64_t sync_ns = 0;
+  uint64_t max_sync_ns = 0;
   /// Mean records per fsync — the group-commit amortization factor; its
   /// inverse is the bench's fsyncs-per-commit figure.
   double MeanGroup() const {
@@ -134,6 +145,8 @@ struct DurabilityStats {
 class JournalFeed {
  public:
   JournalFeed() = default;
+  /// Writes every released record (the flusher drains, then is joined)
+  /// and closes the log.
   ~JournalFeed();
   JournalFeed(const JournalFeed&) = delete;
   JournalFeed& operator=(const JournalFeed&) = delete;
@@ -141,7 +154,8 @@ class JournalFeed {
   /// An engine observer that appends every kCommit delta to this feed and
   /// then forwards the event to `next` (chain a user observer through).
   /// With durability enabled it also writes/fsyncs per the configured
-  /// mode (kBatchEnd triggers the group fsync and any due checkpoint).
+  /// mode: kBatchEnd hands the batch (and any due checkpoint) to the
+  /// flusher, and kRunEnd waits until the flusher has made it durable.
   EngineObserver MakeObserver(EngineObserver next = nullptr);
 
   /// Appends one committed delta as a journal line. Serialization
@@ -177,9 +191,8 @@ class JournalFeed {
   /// the feed reports a sync failure, or `timeout` elapses. OK only on
   /// durable; Internal("journal sync failed...") after a failed fsync —
   /// the caller must not acknowledge the commit. With group commit the
-  /// engine fsyncs inside the batch boundary before commits are released,
-  /// so by the time a committer can call this the verdict is usually
-  /// already in and the wait is free.
+  /// verdict comes from the flusher thread, usually shortly after the
+  /// engine released the commit.
   Status WaitDurable(uint64_t seq, std::chrono::milliseconds timeout) const;
 
   /// Engine commit sequences strictly below this are durable.
@@ -197,8 +210,9 @@ class JournalFeed {
 
   /// Schedules a checkpoint at the NEXT commit-batch boundary (the admin
   /// verb). Returns InvalidArgument when durability or checkpoints are
-  /// not enabled. The write itself happens on the engine thread; a
-  /// request on an idle engine waits for the next commit.
+  /// not enabled. The state is rendered on the engine thread and written
+  /// like any other record; a request on an idle engine waits for the
+  /// next commit.
   Status RequestCheckpoint();
 
  private:
@@ -212,30 +226,38 @@ class JournalFeed {
   /// representation.
   void AppendLine(const Delta& delta, uint64_t seq, const TxnAudit* audit);
 
-  /// Writes + fsyncs every staged record (one group). On failure marks
-  /// the feed sync-failed — staged records are NOT marked durable. Called
-  /// with mu_ held; the write/fsync happens under it by design: the
-  /// observer runs on the engine's ordered commit stage, so nothing else
-  /// contends, and readers see durable_seq_ advance atomically with the
-  /// fsync. Evaluates the server.journal.crash_after_write /
-  /// crash_mid_record failpoints (simulated process death: bytes may
-  /// reach the file, the ack never happens, the feed is dead after).
-  void SyncStaged(std::unique_lock<std::mutex>& lock);
+  /// kBatchEnd: moves staged_ onto released_, renders a due checkpoint
+  /// at fence `seq` behind it, and lets the flusher (or, per-commit, this
+  /// thread) write them.
+  void ReleaseBatch(uint64_t seq);
 
-  /// Writes a checkpoint record at fence `seq` if one is due (requested,
-  /// or checkpoint_every reached). Called at kBatchEnd with mu_ held.
-  void MaybeWriteCheckpoint(std::unique_lock<std::mutex>& lock,
-                            uint64_t seq);
+  /// kRunEnd: blocks until every released record is durable or the feed
+  /// has failed.
+  void Drain();
 
-  /// Writes one framed record + fsync to the device; false = the device
-  /// failed (caller marks the feed sync-failed). Requires mu_.
-  bool WriteFramedLocked(const WalRecord& record);
+  /// Takes every released record and writes + fsyncs it as one group,
+  /// with mu_ dropped across the device I/O (WriteGroup), then publishes
+  /// the verdict: durable_seq_ advances past a fully synced group only;
+  /// a failure marks the feed sync-failed for good. Requires mu_ held
+  /// via `lock`. A failed feed drops the group unwritten.
+  void FlushReleased(std::unique_lock<std::mutex>& lock);
 
-  /// Adaptive flusher body (group_commit + flush_deadline only): sleeps
-  /// until the oldest staged record's deadline, then SyncStaged()s the
-  /// group if the engine's kBatchEnd has not flushed it first. Serialized
-  /// with the observer by mu_.
-  void FlusherLoop();
+  struct GroupOutcome {
+    bool failed = false;
+    bool crashed = false;
+    uint64_t bytes = 0;
+  };
+
+  /// The device I/O of one group, called without mu_. Evaluates every
+  /// journal failpoint: fsync_fail (the device fails the flush),
+  /// crash_after_write / crash_mid_record (simulated process death:
+  /// bytes may reach the file, the ack never happens) and fsync_delay;
+  /// then models simulated_fsync_cost.
+  GroupOutcome WriteGroup(const std::vector<WalRecord>& group) const;
+
+  /// The group-commit flusher thread: flushes released records until
+  /// destruction, draining the queue before it exits.
+  void RunFlusher();
 
   mutable std::mutex mu_;
   mutable std::condition_variable cv_;
@@ -246,16 +268,14 @@ class JournalFeed {
   bool durable_enabled_ = false;
   DurabilityOptions durable_options_;
   int fd_ = -1;                       ///< -1: simulated device
-  std::vector<WalRecord> staged_;     ///< appended, not yet fsynced
-  uint64_t staged_high_seq_ = 0;      ///< seq high-water of staged_
-  /// When the current group's FIRST record was staged (flush-deadline
-  /// clock; meaningful only while staged_ is non-empty).
-  std::chrono::steady_clock::time_point staged_since_{};
-  std::thread flusher_;               ///< adaptive flusher (may be empty)
-  bool flusher_stop_ = false;         ///< under mu_
+  std::vector<WalRecord> staged_;     ///< this batch's records
+  std::vector<WalRecord> released_;   ///< handed over, in log order
+  bool flushing_ = false;             ///< a group is at the device
+  std::thread flusher_;               ///< group_commit only
+  std::condition_variable flusher_cv_;
+  bool flusher_stop_ = false;
   uint64_t durable_seq_ = 0;          ///< commits below this are durable
-  bool sync_failed_ = false;          ///< sticky: a group fsync failed
-  bool crashed_ = false;              ///< sticky: injected device death
+  bool sync_failed_ = false;          ///< sticky: a group failed or crashed
   DurabilityStats durability_stats_;
 
   // Checkpoint state.

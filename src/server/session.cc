@@ -161,14 +161,21 @@ StatusOr<uint64_t> Session::Commit() {
   ++stats_.commits;
   // Ack-after-fsync: with a durable feed attached, the commit is only
   // acknowledged once its journal record is fsynced (under group commit
-  // the batch boundary fsynced before the engine released us, so this
-  // returns immediately). The commit has applied either way; a failure
-  // here means durability — not atomicity — was lost, and the caller
-  // must not report the transaction as safely committed.
+  // the feed's flusher thread does that after the engine released us).
+  // The commit has applied either way; a failure here means durability —
+  // not atomicity — was lost, and the caller must not report the
+  // transaction as safely committed.
+  //
+  // The engine released this transaction's locks before anything was
+  // durable, so what it read may come from commits a crash would still
+  // lose. A commit without writes therefore waits until every commit
+  // ahead of its commit point (seqs below the one it returns) is durable:
+  // Aether's rule for early lock release.
   JournalFeed* feed = manager_->options().durable_feed;
-  if (had_writes && feed != nullptr) {
+  const uint64_t seq = seq_or.ValueOrDie();
+  if (feed != nullptr && (had_writes || seq > 0)) {
     Status durable = feed->WaitDurable(
-        seq_or.ValueOrDie(), manager_->options().durable_wait_timeout);
+        had_writes ? seq : seq - 1, manager_->options().durable_wait_timeout);
     if (!durable.ok()) {
       ++stats_.durable_ack_failures;
       return durable;

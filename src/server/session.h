@@ -126,8 +126,11 @@ class Session {
   /// Commits the buffered write set through the engine's commit path: the
   /// delta is applied atomically, propagated to the matcher, appended to
   /// the replayable log under this session's client key, and Rc-holding
-  /// victims are settled. Returns the commit sequence number (0 if the
-  /// write set was empty). On failure the transaction is aborted.
+  /// victims are settled. Returns the commit sequence number; a commit
+  /// with an empty write set logs nothing and returns the seq the next
+  /// logged commit will take. With a durable feed it returns only once
+  /// its record is durable, or, for an empty write set, once every commit
+  /// before it is. On failure the transaction is aborted.
   StatusOr<uint64_t> Commit();
 
   /// Rolls back the open transaction (no-op without one).

@@ -20,7 +20,10 @@ namespace {
 
 TEST(CrashRecoveryChaosTest, NoAckedCommitLostAcrossSeededMatrix) {
   uint64_t trials = 0;
-  uint64_t crashes = 0;
+  // Per fsync mode (index: grouped), so that one mode's crashes cannot
+  // hide a mode whose crash sites never fire.
+  uint64_t mode_trials[2] = {0, 0};
+  uint64_t mode_crashes[2] = {0, 0};
   uint64_t acked = 0;
   uint64_t checkpointed_recoveries = 0;
   // DBPS_CHAOS_TRIALS scales the seed range; DBPS_CHAOS_SEED shifts it.
@@ -45,7 +48,8 @@ TEST(CrashRecoveryChaosTest, NoAckedCommitLostAcrossSeededMatrix) {
             << " checkpoint_every=" << checkpoint_every << " => "
             << report.ToString();
         ++trials;
-        crashes += report.injected_crashes;
+        ++mode_trials[grouped];
+        mode_crashes[grouped] += report.injected_crashes;
         acked += report.acked_commits;
         if (report.recovery.used_checkpoint) ++checkpointed_recoveries;
         std::remove(options.journal_path.c_str());
@@ -54,9 +58,13 @@ TEST(CrashRecoveryChaosTest, NoAckedCommitLostAcrossSeededMatrix) {
   }
   EXPECT_EQ(trials, 32u * ChaosTrialMultiplier());
   // The matrix must actually exercise the crash machinery, not just run
-  // 32 healthy workloads: most trials crash mid-run, clients still got
-  // real acks, and the checkpointed half recovers through checkpoints.
-  EXPECT_GE(crashes, trials / 2);
+  // 32 healthy workloads: in each fsync mode at least half the trials
+  // crash mid-run, clients still got real acks, and the checkpointed
+  // half recovers through checkpoints.
+  for (int grouped = 0; grouped < 2; ++grouped) {
+    EXPECT_GE(mode_crashes[grouped], mode_trials[grouped] / 2)
+        << (grouped != 0 ? "group-commit" : "per-commit") << " trials";
+  }
   EXPECT_GT(acked, 0u);
   EXPECT_GT(checkpointed_recoveries, 0u);
 }

@@ -25,6 +25,7 @@ TEST(Observer, SingleThreadCommitEvents) {
                    .ValueOrDie();
   std::vector<std::string> commits;
   uint64_t batch_ends = 0;
+  uint64_t run_ends = 0;
   uint64_t last_seq = 0;
   EngineOptions options;
   options.observer = [&](const EngineEvent& event) {
@@ -32,6 +33,12 @@ TEST(Observer, SingleThreadCommitEvents) {
       ++batch_ends;
       return;
     }
+    if (event.kind == EngineEvent::Kind::kRunEnd) {
+      ++run_ends;
+      EXPECT_EQ(event.seq, commits.size());
+      return;
+    }
+    ASSERT_EQ(run_ends, 0u) << "an event after kRunEnd";
     ASSERT_EQ(event.kind, EngineEvent::Kind::kCommit);
     commits.push_back(event.key->rule_name);
     last_seq = event.seq;
@@ -44,6 +51,7 @@ TEST(Observer, SingleThreadCommitEvents) {
   // followed by its own batch-end, and commit seqs count up from 0.
   EXPECT_EQ(batch_ends, commits.size());
   EXPECT_EQ(last_seq + 1, result.stats.firings);
+  EXPECT_EQ(run_ends, 1u);
 }
 
 TEST(Observer, ParallelEventsMatchStats) {
@@ -56,7 +64,7 @@ TEST(Observer, ParallelEventsMatchStats) {
                            &wm)
                    .ValueOrDie();
   std::mutex mu;
-  uint64_t commits = 0, aborts = 0, stales = 0, batch_ends = 0;
+  uint64_t commits = 0, aborts = 0, stales = 0, batch_ends = 0, run_ends = 0;
   uint64_t commits_at_last_batch_end = 0;
   ParallelEngineOptions options;
   options.num_workers = 4;
@@ -79,6 +87,10 @@ TEST(Observer, ParallelEventsMatchStats) {
         // commit event is ever still pending at its batch boundary.
         EXPECT_EQ(event.seq, commits);
         break;
+      case EngineEvent::Kind::kRunEnd:
+        ++run_ends;
+        EXPECT_EQ(event.seq, commits);
+        break;
     }
   };
   ParallelEngine engine(&wm, rules, options);
@@ -91,6 +103,7 @@ TEST(Observer, ParallelEventsMatchStats) {
   EXPECT_GE(batch_ends, 1u);
   EXPECT_LE(batch_ends, commits);
   EXPECT_EQ(commits_at_last_batch_end, commits);
+  EXPECT_EQ(run_ends, 1u);
 }
 
 TEST(Observer, CommitEventsAreInCommitOrder) {

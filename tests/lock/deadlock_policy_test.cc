@@ -92,13 +92,10 @@ TEST(DeadlockPolicy, WoundWaitOlderWoundsYounger) {
 
 // --- deadlocks spanning two relations ----------------------------------
 //
-// These two cases, and StripedLock.CrossShardDeadlockDetected in
-// lock_manager_test, keep the suite name they had when the lock table was
-// striped by relation hash, so their history stays continuous: a cycle
-// whose two edges sit on objects of two relations must be prevented
-// (wound-wait) or refused (no-wait).
+// A cycle whose two edges sit on objects of two relations must be
+// prevented (wound-wait) or refused (no-wait), like one inside a relation.
 
-TEST(StripedLock, CrossShardDeadlockWoundWait) {
+TEST(DeadlockPolicy, CrossRelationDeadlockWoundWait) {
   LockManager lm(Opts(DeadlockPolicy::kWoundWait));
   TxnId older = lm.Begin(), younger = lm.Begin();
   ASSERT_LT(older, younger);
@@ -126,7 +123,7 @@ TEST(StripedLock, CrossShardDeadlockWoundWait) {
   EXPECT_EQ(lm.live_transactions(), 0u);
 }
 
-TEST(StripedLock, CrossShardDeadlockNoWait) {
+TEST(DeadlockPolicy, CrossRelationDeadlockNoWait) {
   LockManager lm(Opts(DeadlockPolicy::kNoWait));
   TxnId t1 = lm.Begin(), t2 = lm.Begin();
   ASSERT_TRUE(lm.Acquire(t1, Tuple("xrel-a", 1), LockMode::kWa).ok());

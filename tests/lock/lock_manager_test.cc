@@ -301,11 +301,9 @@ TEST(LockManager, DeadlockDetected) {
   EXPECT_GE(lm.GetStats().deadlocks, 1u);
 }
 
-// This case, and the wound-wait and no-wait ones in deadlock_policy_test,
-// keep the suite name they had when the lock table was striped by
-// relation hash, so their history stays continuous: a cycle whose two
-// edges sit on objects of two relations must be detected.
-TEST(StripedLock, CrossShardDeadlockDetected) {
+// A cycle whose two edges sit on objects of two relations must be
+// detected like one inside a relation.
+TEST(LockManager, CrossRelationDeadlockDetected) {
   LockManager lm(FastOptions(LockProtocol::kTwoPhase));
   TxnId t1 = lm.Begin(), t2 = lm.Begin();
   ASSERT_TRUE(lm.Acquire(t1, Tuple("xrel-a", 1), LockMode::kWa).ok());
@@ -413,9 +411,8 @@ TEST(LockManager, TraceEventsEmitted) {
 
 // Events are buffered while the manager's mutex is held and emitted only
 // after it is dropped, so a sink may call straight back into the manager;
-// a sink run under the mutex would deadlock here. The suite name is the
-// one the case had when the lock table was striped by relation hash.
-TEST(StripedLock, TraceSinkMayReenterTheManager) {
+// a sink run under the mutex would deadlock here.
+TEST(LockManager, TraceSinkMayReenterTheManager) {
   LockManager* manager = nullptr;
   std::mutex sink_mu;
   std::vector<LockEvent> events;

@@ -230,14 +230,19 @@ TEST(NetServerTest, NetworkWriteActivatesRules) {
   ASSERT_TRUE(client->WriteLine("(delta (make inbox 42))").ok());
   ASSERT_TRUE(client->Commit().ok());
   // The serve rule consumes inbox and produces done; poll through the
-  // same wire protocol until it lands.
+  // same wire protocol until it lands. The rule's commit inserts into
+  // `done` and so victimizes a poll holding Rc on it; like
+  // Session::Perform, the poll retries a commit that came back Aborted.
   std::vector<std::string> done;
   for (int i = 0; i < 2000 && done.empty(); ++i) {
     ASSERT_TRUE(client->Begin().ok());
     auto rows = client->Read("done");
     ASSERT_TRUE(rows.ok()) << rows.status();
-    done = std::move(rows).ValueOrDie();
-    ASSERT_TRUE(client->Commit().ok());
+    auto commit = client->Commit();
+    if (!commit.status().IsAborted()) {
+      ASSERT_TRUE(commit.ok()) << commit.status();
+      done = std::move(rows).ValueOrDie();
+    }
     if (done.empty()) std::this_thread::sleep_for(milliseconds(1));
   }
   ASSERT_EQ(done.size(), 1u);

@@ -343,6 +343,56 @@ TEST(SessionTest, JournalFeedReplaysClientAndRuleCommits) {
   EXPECT_EQ(replayed.Count(Sym("done")), 3u);
 }
 
+// Engine locks are released before a commit is durable, so a client that
+// read a firing's output and commits without writes must still not be
+// acknowledged before that firing's record is durable (Aether's rule for
+// early lock release). The firing is the run's first commit, and its
+// group fsync is held back by a 2 s injected delay on the flusher.
+TEST(SessionTest, ReadOnlyCommitWaitsUntilTheFiringItReadIsDurable) {
+  struct DisarmOnExit {
+    ~DisarmOnExit() { FailpointRegistry::Instance().DisableAll(); }
+  } disarm;
+  FailpointRegistry::Instance().Configure(
+      "server.journal.fsync_delay",
+      {.one_in = 1, .max_fires = 1, .delay = std::chrono::seconds(2)});
+  JournalFeed feed;
+  DurabilityOptions durability;
+  durability.group_commit = true;  // simulated device
+  ASSERT_TRUE(feed.EnableDurability(durability).ok());
+  ServerOptions server_options;
+  server_options.durable_feed = &feed;
+  ParallelEngineOptions engine_options;
+  engine_options.base.observer = feed.MakeObserver();
+  TestServer server(R"(
+(relation inbox (id int))
+(relation done (id int))
+(rule serve (inbox ^id <i>) --> (remove 1) (make done ^id <i>))
+(make inbox ^id 7)
+)",
+                    server_options, engine_options);
+  auto session = server.manager().Connect("reader").ValueOrDie();
+  std::vector<WmePtr> rows;
+  for (int i = 0; i < 5000 && rows.empty(); ++i) {
+    // The firing's commit victimizes a reader holding Rc on `done`;
+    // Perform retries that.
+    Status st = session->Perform([&](Session& s) -> Status {
+      DBPS_RETURN_NOT_OK(s.Begin());
+      DBPS_ASSIGN_OR_RETURN(rows, s.Read("done"));
+      return s.Commit().status();
+    });
+    ASSERT_TRUE(st.ok()) << st;
+    if (rows.empty()) std::this_thread::sleep_for(milliseconds(1));
+  }
+  ASSERT_EQ(rows.size(), 1u);
+  // The firing committed as seq 0; the OK above came only after it was
+  // durable.
+  EXPECT_GT(feed.durable_seq(), 0u);
+  EXPECT_EQ(session->stats().durable_ack_failures, 0u);
+  session->Close();
+  const RunResult& result = server.Finish();
+  EXPECT_EQ(result.stats.firings, 1u);
+}
+
 // A client commit whose delta carries the halt flag stops the server the
 // same way a rule's (halt) action would.
 TEST(SessionTest, ClientHaltStopsEngine) {

@@ -213,7 +213,6 @@ ChaosReport RunNetworkTrial(const ChaosOptions& options) {
   JournalFeed feed;
   DurabilityOptions durability;
   durability.group_commit = true;
-  durability.flush_deadline = options.flush_deadline;
   DBPS_CHECK_OK(feed.EnableDurability(durability));
 
   ServerOptions server_options;
@@ -320,7 +319,6 @@ ChaosReport RunNetworkTrial(const ChaosOptions& options) {
   report.client_give_ups = gave_up.load();
   report.unknown_outcomes = unknown.load();
   report.reconnects = reconnects.load();
-  report.deadline_flushes = feed.durability().deadline_flushes;
   if (result_or.ok()) report.stats = result_or.ValueOrDie().stats;
   report.live_transactions = engine.live_lock_transactions();
   report.verdict = CheckRun(result_or, &wm, pristine.get(), rules,
@@ -355,7 +353,6 @@ ChaosReport RunCrashRecoverTrial(const ChaosOptions& options) {
   durability.path = options.journal_path;
   durability.open_mode = JournalOpenMode::kTruncate;
   durability.group_commit = options.group_commit;
-  durability.flush_deadline = options.flush_deadline;
   durability.checkpoint_every = options.checkpoint_every;
   Status enabled = feed.EnableDurability(durability);
   if (enabled.ok()) enabled = feed.EnableCheckpoints(&wm);
@@ -438,7 +435,6 @@ ChaosReport RunCrashRecoverTrial(const ChaosOptions& options) {
   report.acked_commits = acked.size();
   report.client_give_ups = gave_up.load();
   report.injected_crashes = feed.durability().injected_crashes;
-  report.deadline_flushes = feed.durability().deadline_flushes;
   if (result_or.ok()) report.stats = result_or.ValueOrDie().stats;
   report.live_transactions = engine.live_lock_transactions();
   report.verdict = CheckRun(result_or, &wm, pristine.get(), rules,

@@ -19,7 +19,6 @@
 #ifndef DBPS_TESTS_TESTING_CHAOS_RUNNER_H_
 #define DBPS_TESTS_TESTING_CHAOS_RUNNER_H_
 
-#include <chrono>
 #include <cstdint>
 #include <string>
 
@@ -117,11 +116,6 @@ struct ChaosOptions {
   std::string journal_path;
   /// Fsync once per commit batch instead of once per commit.
   bool group_commit = false;
-  /// Adaptive group-commit flush deadline (0 = batch boundaries only);
-  /// see DurabilityOptions::flush_deadline. Also applied to the kNetwork
-  /// durable feed, where the chaos profile's delayed fsyncs make the
-  /// deadline flusher fire.
-  std::chrono::milliseconds flush_deadline{0};
   /// Auto-checkpoint cadence (records); 0 = no checkpoints.
   size_t checkpoint_every = 0;
   // kZipfian / kSnapshotScan workload shape:
@@ -156,9 +150,6 @@ struct ChaosReport {
   /// Crashes the journal failpoints injected (0 if the workload finished
   /// before the armed crash point — still a valid recovery trial).
   uint64_t injected_crashes = 0;
-  /// Durable-feed trials: groups flushed by the adaptive deadline rather
-  /// than a batch boundary (JournalFeed flush_deadline).
-  uint64_t deadline_flushes = 0;
   /// What recovery scanned/truncated/replayed.
   RecoveryStats recovery;
   /// The offline consistency audit of the run's commit log (every

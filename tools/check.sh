@@ -175,11 +175,12 @@ elif [ "$TIER" = "net" ]; then
   DBPS_BENCH_THREADS=2 "$BUILD_DIR/bench/bench_net" --smoke
   echo "net tier passed"
 elif [ "$TIER" = "recovery" ]; then
-  # Crash-recovery tier: WAL framing + recovery + durability-edge suites,
-  # the seeded kill-and-recover chaos matrix (32 trials, both fsync modes
-  # and crash shapes) and the real fork/kill -9 suite.
+  # Crash-recovery tier: WAL framing + recovery + durability-edge suites
+  # (the pipelined flush and the read-only commit's durability wait
+  # included), the seeded kill-and-recover chaos matrix (32 trials, both
+  # fsync modes and crash shapes) and the real fork/kill -9 suite.
   ctest --test-dir "$BUILD_DIR" -j 4 --output-on-failure \
-    -R 'Wal|JournalFuzz|JournalFeed|Recovery|KillRecover|GroupCommit'
+    -R 'Wal|JournalFuzz|JournalFeed|Recovery|KillRecover|GroupCommit|ReadOnlyCommitWaits'
   # End-to-end restart smoke: run with a WAL + checkpoints, then restart
   # from the same journal directory with --recover; both runs must
   # replay-validate.

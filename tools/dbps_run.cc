@@ -568,13 +568,16 @@ int Run(const Flags& flags) {
       const DurabilityStats dstats = feed.durability();
       std::printf(
           "journal: durable_seq=%llu fsyncs=%llu records=%llu "
-          "mean_group=%.2f checkpoints=%llu bytes=%llu failures=%llu\n",
+          "mean_group=%.2f checkpoints=%llu bytes=%llu failures=%llu "
+          "sync_mean_us=%.1f sync_max_us=%.1f\n",
           (unsigned long long)feed.durable_seq(),
           (unsigned long long)dstats.fsyncs,
           (unsigned long long)dstats.records_synced, dstats.MeanGroup(),
           (unsigned long long)dstats.checkpoints_written,
           (unsigned long long)dstats.bytes_written,
-          (unsigned long long)dstats.sync_failures);
+          (unsigned long long)dstats.sync_failures,
+          dstats.fsyncs == 0 ? 0.0 : dstats.sync_ns / 1e3 / dstats.fsyncs,
+          dstats.max_sync_ns / 1e3);
     }
   }
   if (flags.validate) {
